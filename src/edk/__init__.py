@@ -9,6 +9,7 @@ from .errors import (
     PropertyFormatError,
     SizeGuardError,
     TrivialPropertyError,
+    UsageError,
 )
 from .graphs import (
     BIEDGE,

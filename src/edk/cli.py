@@ -8,7 +8,8 @@ listings); rationals are serialized as "num/den" strings.  All randomness
 sits behind an explicit ``--seed``.
 
 Exit codes: 0 success, 1 domain error (trivial property, guard, failed
-reference check), 2 usage error or malformed file.
+reference check), 2 usage error (bad flag or environment variable) or
+malformed file.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 from .crg import DirType, dir_mask_codes, enumerate_types, mask_colors
 from .distance import dist_lower_turan, dist_max_upper, dist_upper, distfn_grid
 from .editing import edit_by_dirtype, edit_by_type
-from .errors import PropertyFormatError
+from .errors import PropertyFormatError, TrivialPropertyError, UsageError
 from .files import format_graph, parse_graph, parse_property
 from .graphs import (
     DIR_SYMBOL,
@@ -30,6 +31,7 @@ from .graphs import (
     PropertyFamily,
     is_member,
     pair_count,
+    pair_index,
 )
 from .oracle import estimate_dist, exact_dist, sample_digraph, sample_rgraph
 from .spectrum import chromatic_number, clique_spectrum
@@ -67,13 +69,9 @@ def _type_text(t) -> str:
     lines.append(" ".join(_set_token(v, directed) for v in t.vertex_sets))
     for i in range(t.k - 1):
         lines.append(" ".join(
-            _set_token(t.edge_sets[_tri(t.k, i, j)], directed) for j in range(i + 1, t.k)
+            _set_token(t.edge_sets[pair_index(t.k, i, j)], directed) for j in range(i + 1, t.k)
         ))
     return "\n".join(lines)
-
-
-def _tri(k, i, j):
-    return i * (2 * k - i - 1) // 2 + (j - i - 1)
 
 
 def _type_json(t):
@@ -82,7 +80,7 @@ def _type_json(t):
         "k": t.k,
         "vertices": [_set_token(v, directed) for v in t.vertex_sets],
         "edges": [
-            [_set_token(t.edge_sets[_tri(t.k, i, j)], directed) for j in range(i + 1, t.k)]
+            [_set_token(t.edge_sets[pair_index(t.k, i, j)], directed) for j in range(i + 1, t.k)]
             for i in range(t.k - 1)
         ],
     }
@@ -161,7 +159,7 @@ def _cmd_distfn(args):
     lower = None
     try:
         lower = _frac(dist_lower_turan(family).value)
-    except Exception:
+    except TrivialPropertyError:
         pass
     payload = {
         "max_value": _frac(bound.value),
@@ -397,11 +395,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        for flag in ("trials", "jobs"):
+            if getattr(args, flag, 1) < 1:
+                parser.error(f"argument --{flag}: must be at least 1")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
-    except PropertyFormatError as exc:
+    except (PropertyFormatError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -44,7 +44,9 @@ def check_weights(weights, k):
 
 
 def sample_partition(n, weights, rng) -> tuple:
-    """Independent part assignment; part i drawn with probability weights[i]."""
+    """``n`` independent draws, each ``i`` with probability weights[i]: part
+    assignments here, pair colors in the samplers of ``oracle``.  Each draw
+    takes one ``rng.random()`` against cumulative float weights."""
     cumulative = []
     run = Fraction(0)
     for w in weights:

@@ -14,6 +14,10 @@ class PropertyFormatError(ValueError):
         super().__init__(message)
 
 
+class UsageError(ValueError):
+    """Raised when a setting read from the environment is malformed."""
+
+
 class TrivialPropertyError(ValueError):
     """The property is degenerate: no editing bound or admissible type exists."""
 

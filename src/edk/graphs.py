@@ -8,6 +8,12 @@ single arc in either direction.  Both kinds store one color code per pair
 ``{i, j}`` with ``i < j``; for digraphs the single-arc codes are read relative
 to that order, which makes the required symmetries hold by construction.
 
+Induced copies are found by one matcher over neighborhood bitmasks (Python
+ints, one per vertex and color, built in one pass over the pairs).  It maps
+the small graph's vertices in order and tries candidates lowest vertex first,
+so the copy it returns is the lexicographically least image; the exact oracle
+relies on that order for reproducible witnesses.
+
 All values are immutable and hashable, so they are safe to share across
 concurrent workers.
 """
@@ -408,50 +414,80 @@ def induced(graph, subset):
     return graph.induced(subset)
 
 
-def contains_induced(big, small) -> bool:
-    """Whether some injective vertex map carries ``small`` into ``big``
-    preserving every pair color exactly (arc orientation included).
+def neighborhood_masks(graph, colors=None):
+    """Neighbourhood bitmasks of a graph, read once per pair.
 
-    Backtracking over partial injections with per-pair pruning; forbidden
-    graphs are tiny, so no heavier isomorphism machinery is needed.
+    ``masks[c][x]`` has bit ``y`` set when the pair {x, y} has color ``c`` as
+    seen from ``x``; for digraphs the larger end sees the mirrored arc code.
+    ``colors`` replaces the graph's own pair colors (same order) when given.
     """
-    _check_same_arity(big, small)
-    h, n = small.n, big.n
+    n = graph.n
+    if isinstance(graph, DiGraph):
+        masks = [[0] * n for _ in DIR_CODES]
+        back = [mirror(c) for c in DIR_CODES]
+    else:
+        masks = [[0] * n for _ in range(graph.r + 1)]
+        back = range(graph.r + 1)
+    pair_colors = iter(graph.colors if colors is None else colors)
+    for i in range(n):
+        bit_i = 1 << i
+        for j in range(i + 1, n):
+            c = next(pair_colors)
+            masks[c][i] |= 1 << j
+            masks[back[c]][j] |= bit_i
+    return masks
+
+
+def find_induced(masks, small, banned=None):
+    """The lexicographically least injective image of ``small``'s vertices
+    under which every pair keeps its color exactly, or None.
+
+    ``masks`` are the big graph's :func:`neighborhood_masks`.  Vertices are
+    mapped in order; the candidates for the next one are the AND of the
+    mapped vertices' neighborhoods in the required colors, minus the used
+    vertices, tried lowest bit first.  ``banned[x]``, when given, is a mask
+    of partners that no copy may pair with ``x``.
+    """
+    n, h = len(masks[0]), small.n
     if h > n:
-        return False
-    if h <= 1:
-        return h == 0 or n >= 1
-
+        return None
+    need = [[small.color(u, v) for u in range(v)] for v in range(h)]
     image = [0] * h
-    used = [False] * n
+    everyone = (1 << n) - 1
 
-    def extend(v):
+    def extend(v, used):
         if v == h:
             return True
-        for x in range(n):
-            if used[x]:
-                continue
-            ok = True
-            for u in range(v):
-                if small.color(u, v) != big.color(image[u], x):
-                    ok = False
-                    break
-            if ok:
-                image[v] = x
-                used[x] = True
-                if extend(v + 1):
-                    return True
-                used[x] = False
+        cand = everyone & ~used
+        for u, c in enumerate(need[v]):
+            x = image[u]
+            cand &= masks[c][x]
+            if banned:
+                cand &= ~banned[x]
+        while cand:
+            low = cand & -cand
+            image[v] = low.bit_length() - 1
+            if extend(v + 1, used | low):
+                return True
+            cand ^= low
         return False
 
-    return extend(0)
+    return tuple(image) if extend(0, 0) else None
+
+
+def contains_induced(big, small) -> bool:
+    """Whether some injective vertex map carries ``small`` into ``big``
+    preserving every pair color exactly (arc orientation included)."""
+    _check_same_arity(big, small)
+    return find_induced(neighborhood_masks(big), small) is not None
 
 
 def is_member(graph, family: PropertyFamily) -> bool:
     """Membership in the hereditary property: no forbidden graph occurs induced."""
     if not family.matches(graph):
         raise ValueError("graph arity does not match the family")
-    return not any(contains_induced(graph, h) for h in family.forbidden)
+    masks = neighborhood_masks(graph)
+    return all(find_induced(masks, h) is None for h in family.forbidden)
 
 
 def hamming(g, g2) -> int:

@@ -7,10 +7,18 @@ change in every solution, so the search is complete.  Branched pairs freeze
 along a branch, which removes overlap between sibling subtrees, and a greedy
 packing of pair-disjoint forbidden copies gives an admissible lower bound for
 pruning.
+
+Each search node rebuilds the working colors' neighborhood bitmasks once
+and shares them between the copy search and the packing bound, both run by
+the matcher in ``graphs``.  The packing bans the pairs of each copy it takes
+through per-vertex masks of banned partners.  The matcher returns the
+lexicographically least copy, so the branch order, and with it the witness,
+is fixed by the input.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 import statistics
@@ -18,14 +26,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .distance import dist_upper
-from .editing import edit_by_dirtype, edit_by_type
-from .errors import SizeGuardError
+from .editing import edit_by_dirtype, edit_by_type, sample_partition
+from .errors import SizeGuardError, UsageError
 from .graphs import (
     ColoredGraph,
     DensityVector,
     DiGraph,
     DirDensity,
     PropertyFamily,
+    find_induced,
+    neighborhood_masks,
     pair_count,
     pair_index,
 )
@@ -39,77 +49,34 @@ GUARD_ENV = "EDK_GUARD_N"
 def size_guard(family: PropertyFamily) -> int:
     env = os.environ.get(GUARD_ENV)
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise UsageError(f"{GUARD_ENV} must be an integer, got {env!r}") from None
     return DEFAULT_GUARD_DIRECTED if family.is_directed else DEFAULT_GUARD_MULTICOLOR
 
 
-def _copy_pairs(graph, colors, h, banned=frozenset()):
-    """Pair indices of one induced copy of ``h`` under the working colors, or
-    None.  Copies touching a pair in ``banned`` are skipped."""
-    n, hn = graph.n, h.n
-    if hn > n:
-        return None
-
-    if isinstance(graph, DiGraph):
-        def pair_color(i, j):
-            if i < j:
-                return colors[pair_index(n, i, j)]
-            c = colors[pair_index(n, j, i)]
-            return c ^ 1 if c >= 2 else c  # mirror single arcs
-    else:
-        def pair_color(i, j):
-            return colors[pair_index(n, min(i, j), max(i, j))]
-
-    image = [0] * hn
-    used = [False] * n
-
-    def extend(v):
-        if v == hn:
-            return True
-        for x in range(n):
-            if used[x]:
-                continue
-            ok = True
-            for u in range(v):
-                y = image[u]
-                if banned and pair_index(n, min(x, y), max(x, y)) in banned:
-                    ok = False
-                    break
-                if h.color(u, v) != pair_color(y, x):
-                    ok = False
-                    break
-            if ok:
-                image[v] = x
-                used[x] = True
-                if extend(v + 1):
-                    return True
-                used[x] = False
-        return False
-
-    if not extend(0):
-        return None
-    verts = sorted(image)
-    return [pair_index(n, verts[a], verts[b]) for a in range(hn) for b in range(a + 1, hn)]
-
-
-def _find_copy(graph, family, colors, banned=frozenset()):
+def _find_copy(family, masks, banned=None):
+    """Image of the first forbidden graph with an induced copy, or None."""
     for h in family.forbidden:
-        found = _copy_pairs(graph, colors, h, banned)
-        if found is not None:
-            return found
+        image = find_induced(masks, h, banned)
+        if image is not None:
+            return image
     return None
 
 
-def _greedy_disjoint_bound(graph, family, colors):
+def _greedy_disjoint_bound(family, masks):
     """Number of pairwise pair-disjoint forbidden copies; each needs a change."""
-    banned = set()
+    banned = [0] * len(masks[0])
     count = 0
     while True:
-        found = _find_copy(graph, family, colors, frozenset(banned))
-        if found is None:
+        image = _find_copy(family, masks, banned)
+        if image is None:
             return count
         count += 1
-        banned.update(found)
+        verts = sum(1 << x for x in image)
+        for x in image:
+            banned[x] |= verts
 
 
 def exact_dist(graph, family: PropertyFamily, max_n=None):
@@ -138,15 +105,17 @@ def exact_dist(graph, family: PropertyFamily, max_n=None):
     def search(cost):
         if best["cost"] is not None and cost >= best["cost"]:
             return
-        copy = _find_copy(graph, family, colors)
-        if copy is None:
+        masks = neighborhood_masks(graph, colors)
+        image = _find_copy(family, masks)
+        if image is None:
             best["cost"] = cost
             best["colors"] = tuple(colors)
             return
         if best["cost"] is not None:
-            bound = _greedy_disjoint_bound(graph, family, colors)
+            bound = _greedy_disjoint_bound(family, masks)
             if cost + bound >= best["cost"]:
                 return
+        copy = [pair_index(graph.n, a, b) for a, b in itertools.combinations(sorted(image), 2)]
         newly = []
         for e in copy:
             if frozen[e]:
@@ -177,17 +146,8 @@ def sample_rgraph(n, p: DensityVector, seed) -> ColoredGraph:
     """Each pair colored independently by the density vector; seeded."""
     if n < 1:
         raise ValueError("need at least one vertex")
-    rng = random.Random(seed)
-    cumulative = []
-    run = Fraction(0)
-    for w in p.entries:
-        run += w
-        cumulative.append(float(run))
-    colors = []
-    for _ in range(pair_count(n)):
-        u = rng.random()
-        colors.append(next((i + 1 for i, c in enumerate(cumulative) if u < c), p.r))
-    return ColoredGraph(n, p.r, tuple(colors))
+    draws = sample_partition(pair_count(n), p.entries, random.Random(seed))
+    return ColoredGraph(n, p.r, tuple(i + 1 for i in draws))
 
 
 def sample_digraph(n, d: DirDensity, seed) -> DiGraph:
@@ -195,18 +155,8 @@ def sample_digraph(n, d: DirDensity, seed) -> DiGraph:
     probabilities (1-p-2q, p, q, q)."""
     if n < 1:
         raise ValueError("need at least one vertex")
-    rng = random.Random(seed)
     weights = (d.nonedge, d.p, d.q, d.q)
-    cumulative = []
-    run = Fraction(0)
-    for w in weights:
-        run += w
-        cumulative.append(float(run))
-    colors = []
-    for _ in range(pair_count(n)):
-        u = rng.random()
-        colors.append(next((i for i, c in enumerate(cumulative) if u < c), 3))
-    return DiGraph(n, tuple(colors))
+    return DiGraph(n, sample_partition(pair_count(n), weights, random.Random(seed)))
 
 
 def derive_seed(seed, index) -> int:

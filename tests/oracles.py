@@ -30,6 +30,20 @@ def brute_contains_induced(big, small) -> bool:
     return False
 
 
+def brute_first_copy(big, small, banned=frozenset()):
+    """The first injection in ``itertools.permutations`` order that keeps
+    every pair color and uses no pair in ``banned`` (a set of 2-element
+    frozensets of big's vertices), or None."""
+    for verts in itertools.permutations(range(big.n), small.n):
+        if all(
+            small.color(u, v) == big.color(verts[u], verts[v])
+            and frozenset((verts[u], verts[v])) not in banned
+            for u, v in itertools.combinations(range(small.n), 2)
+        ):
+            return verts
+    return None
+
+
 def brute_is_member(graph, family) -> bool:
     return not any(brute_contains_induced(graph, h) for h in family.forbidden)
 

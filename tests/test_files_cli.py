@@ -197,6 +197,54 @@ class TestCli:
     def test_domain_error_exits_1(self, capsys, prop_files):
         assert main(["distfn", "--property", str(prop_files["trans"]), "--kmax", "1"]) == 1
 
+    @pytest.mark.parametrize("flag, value, command", [
+        ("--trials", "0", "estimate"),
+        ("--trials", "0", "edit"),
+        ("--jobs", "0", "estimate"),
+        ("--jobs", "-3", "edit"),
+    ])
+    def test_counts_below_one_are_usage_errors(self, capsys, prop_files, flag, value,
+                                               command):
+        args = {
+            "estimate": ["estimate", "--property", str(prop_files["rainbow"]), "--n", "5",
+                         "--p", "1/3,1/3,1/3", "--trials", "2", "--seed", "2"],
+            "edit": ["edit", "--property", str(prop_files["rainbow"]),
+                     "--graph", str(prop_files["rgraph"]), "--type-index", "0",
+                     "--kmax", "1", "--weights", "1", "--seed", "7", "--trials", "2"],
+        }[command]
+        assert main(args + [flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{flag}: must be at least 1" in captured.err
+
+    def test_malformed_guard_variable_is_a_usage_error(self, capsys, prop_files, monkeypatch):
+        monkeypatch.setenv("EDK_GUARD_N", "abc")
+        code = main(["oracle", "--property", str(prop_files["rainbow"]),
+                     "--graph", str(prop_files["rgraph"])])
+        assert code == 2
+        assert "EDK_GUARD_N must be an integer, got 'abc'" in capsys.readouterr().err
+
+    def test_distfn_turan_lower_null_only_when_trivial(self, capsys, prop_files, monkeypatch):
+        # no family reaches the fallback through dist_max_upper (a trivial one
+        # fails there first), so the lower bound is replaced
+        import edk.cli
+
+        def trivial(family):
+            raise edk.TrivialPropertyError("trivial property")
+
+        monkeypatch.setattr(edk.cli, "dist_lower_turan", trivial)
+        args = ["distfn", "--property", str(prop_files["ctri"]), "--kmax", "1"]
+        code, out = run(capsys, *args)
+        assert code == 0
+        assert json.loads(out)["turan_lower"] is None
+
+        def broken(family):
+            raise RuntimeError("internal failure")
+
+        monkeypatch.setattr(edk.cli, "dist_lower_turan", broken)
+        assert main(args) == 1
+        assert "internal failure" in capsys.readouterr().err
+
     def test_byte_identical_reruns(self, capsys, prop_files):
         args = [
             "distfn", "--property", str(prop_files["rainbow"]), "--kmax", "2",

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import edk
 from edk import (
@@ -24,7 +26,8 @@ from edk.catalog import (
     rainbow_triangle_family,
     triangle,
 )
-from oracles import brute_contains_induced, brute_is_member
+from edk.graphs import PALETTES, find_induced, neighborhood_masks, pair_count
+from oracles import brute_contains_induced, brute_first_copy, brute_is_member
 
 EX2_TEXT = """
 # one forbidden triangle with colors 1,1,2
@@ -158,6 +161,55 @@ class TestContainment:
     def test_arity_mismatch(self):
         with pytest.raises(ValueError):
             edk.contains_induced(ColoredGraph.complete(3, 2, 1), mono_triangle(3))
+
+
+MATCHER_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def big_and_small(draw):
+    """A multicolor graph (r = 2, 3) or a digraph on some palette with at most
+    6 vertices, and a graph on at most 4: half the time an induced subgraph of
+    the big one in shuffled vertex order, so that copies are common."""
+    n = draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        r = draw(st.sampled_from((2, 3)))
+        codes = range(1, r + 1)
+        make = lambda k, colors: ColoredGraph(k, r, colors)  # noqa: E731
+    else:
+        codes = PALETTES[draw(st.sampled_from(sorted(PALETTES)))].sorted_codes()
+        make = DiGraph
+    colors = st.sampled_from(codes)
+    big = make(n, tuple(draw(st.lists(colors, min_size=pair_count(n), max_size=pair_count(n)))))
+    if n and draw(st.booleans()):
+        verts = draw(st.permutations(range(n)))[:draw(st.integers(1, min(n, 4)))]
+        return big, big.induced(verts).permuted(draw(st.permutations(range(len(verts)))))
+    h = draw(st.integers(0, 4))
+    return big, make(h, tuple(draw(st.lists(colors, min_size=pair_count(h),
+                                              max_size=pair_count(h)))))
+
+
+class TestMatcher:
+    @MATCHER_SETTINGS
+    @given(big_and_small())
+    def test_first_copy_matches_brute_force(self, graphs):
+        big, small = graphs
+        image = find_induced(neighborhood_masks(big), small)
+        assert (image is not None) == brute_contains_induced(big, small)
+        assert image == brute_first_copy(big, small)
+
+    @MATCHER_SETTINGS
+    @given(big_and_small(), st.data())
+    def test_banned_pairs_match_filtered_brute_force(self, graphs, data):
+        big, small = graphs
+        all_pairs = list(itertools.combinations(range(big.n), 2))
+        chosen = data.draw(st.lists(st.sampled_from(all_pairs), max_size=6)) if all_pairs else []
+        banned = [0] * big.n
+        for x, y in chosen:
+            banned[x] |= 1 << y
+            banned[y] |= 1 << x
+        expected = brute_first_copy(big, small, {frozenset(p) for p in chosen})
+        assert find_induced(neighborhood_masks(big), small, banned) == expected
 
 
 class TestMembership:

@@ -16,6 +16,7 @@ from edk.catalog import (
     rainbow_triangle_family,
 )
 from edk.errors import SizeGuardError
+from edk.editing import sample_partition
 from edk.graphs import pair_count
 from edk.oracle import estimate_dist, exact_dist, sample_digraph, sample_rgraph
 from oracles import brute_exact_dist
@@ -75,6 +76,26 @@ class TestExactDist:
             assert got == expected
             assert edk.is_member(witness, fam)
 
+    # (edits, witness colors) at n=8 (rainbow) and n=10 (cyclic on tourn),
+    # recorded before the copy search moved to neighborhood bitmasks; the
+    # matcher's copy order fixes the branch order and so the witness
+    @pytest.mark.parametrize("name, seed, edits, witness", [
+        ("rainbow", 7000021, 7, "3312212312212122122232123232"),
+        ("rainbow", 7000023, 6, "3311331333133333212133133311"),
+        ("rainbow", 7000024, 7, "3222122222122111111223111223"),
+        ("cyclic", 7000021, 10, "322222233222222223323233323233222333233233332"),
+        ("cyclic", 7000022, 7, "222223223223333232333323333333333233323223233"),
+        ("cyclic", 7000023, 9, "222232323333333332232323232323323332322333223"),
+    ])
+    def test_witnesses_pinned(self, name, seed, edits, witness):
+        if name == "rainbow":
+            g = sample_rgraph(8, DensityVector.uniform(3), seed)
+            got = exact_dist(g, rainbow_triangle_family())
+        else:
+            g = sample_digraph(10, TOURN_POINT, seed)
+            got = exact_dist(g, cyclic_triangle_family("tourn"), max_n=10)
+        assert (got[0], "".join(map(str, got[1].colors))) == (edits, witness)
+
     def test_guard(self):
         fam = mono_triangle_family()
         big = ColoredGraph.complete(10, 3, 2)
@@ -93,6 +114,18 @@ class TestExactDist:
 
 
 class TestSamplers:
+    def test_streams_pinned(self):
+        # recorded before the samplers shared editing.sample_partition
+        p = DensityVector.of(F(1, 2), F(1, 3), F(1, 6))
+        assert sample_rgraph(6, p, 3).colors == (1, 2, 1, 2, 2, 1, 1, 3, 1, 1, 3, 1, 3, 1, 2)
+        assert sample_rgraph(6, p, 11).colors == (1, 2, 3, 1, 2, 2, 1, 2, 2, 2, 1, 1, 1, 2, 2)
+        d = DirDensity.of(F(1, 4), F(1, 4), "full")
+        assert sample_digraph(6, d, 3).colors == (0, 2, 1, 2, 2, 0, 0, 3, 1, 0, 3, 1, 3, 1, 2)
+        assert sample_digraph(6, d, 11).colors == (1, 2, 3, 1, 2, 2, 0, 2, 2, 3, 0, 1, 0, 3, 2)
+        w = p.entries
+        assert sample_partition(12, w, random.Random(3)) == (0, 1, 0, 1, 1, 0, 0, 2, 0, 0, 2, 0)
+        assert sample_partition(12, w, random.Random(11)) == (0, 1, 2, 0, 1, 1, 0, 1, 1, 1, 0, 0)
+
     def test_degenerate_density_is_monochromatic(self):
         g = sample_rgraph(8, DensityVector.of(1, 0, 0), 4)
         assert set(g.colors) == {1}
