@@ -43,13 +43,13 @@ from .spectrum import (
     is_transitive_tournament,
     is_trivial,
     is_weakly_good,
+    spectrum_tuple_type,
 )
 from .crg import (
     DirType,
     RType,
     canonicalize,
     embeds,
-    embeds_dir,
     enumerate_types,
     in_admissible_set,
     sub_type,
@@ -64,7 +64,6 @@ from .distance import (
     f_value,
     g_value,
     m_matrix,
-    m_matrix_dir,
     quad_form,
     symmetric_bound,
 )
@@ -73,7 +72,6 @@ from .editing import (
     edit_by_type,
     expected_changes,
     simple_edit,
-    spectrum_tuple_type,
 )
 from .oracle import (
     EstimateStats,

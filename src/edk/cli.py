@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
 from .crg import DirType, dir_mask_codes, enumerate_types, mask_colors
 from .distance import dist_lower_turan, dist_max_upper, dist_upper, distfn_grid
-from .editing import edit_by_dirtype, edit_by_type
+from .editing import check_weights, edit_by_dirtype, edit_by_type
 from .errors import PropertyFormatError, TrivialPropertyError, UsageError
 from .files import format_graph, parse_graph, parse_property
 from .graphs import (
@@ -181,8 +182,7 @@ def _edit_trial(payload):
 def _cmd_edit(args):
     family = _read_family(args)
     graph = _read_graph(args)
-    if not family.matches(graph):
-        raise ValueError("graph arity does not match the property file")
+    family.check_graph(graph)
     types = []
     for t in enumerate_types(family, args.kmax, candidate_ceiling=args.ceiling):
         types.append(t)
@@ -191,12 +191,17 @@ def _cmd_edit(args):
     if args.type_index >= len(types):
         raise ValueError(f"type index {args.type_index} out of range at kmax={args.kmax}")
     k_type = types[args.type_index]
-    weights = tuple(Fraction(w.strip()) for w in args.weights.split(","))
+    try:
+        weights = check_weights((w.strip() for w in args.weights.split(",")), k_type.k)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(
+            f"--weights for the {k_type.k}-vertex type {args.type_index}: {exc}") from None
     payloads = [
         (family, graph, k_type, weights, args.seed + i) for i in range(args.trials)
     ]
-    if args.jobs > 1:
-        results = _pool_map(args.jobs)(_edit_trial, payloads)
+    workers = worker_count(args.jobs, args.trials)
+    if workers > 1:
+        results = _pool_map(workers)(_edit_trial, payloads)
     else:
         results = [_edit_trial(p) for p in payloads]
     if args.trials == 1:
@@ -256,6 +261,11 @@ def _cmd_sample(args):
     return 0
 
 
+def worker_count(jobs, trials) -> int:
+    """Processes worth starting: no more than the trials or the CPUs."""
+    return min(jobs, trials, os.cpu_count() or 1)
+
+
 def _pool_map(jobs):
     def run(fn, payloads):
         from concurrent.futures import ProcessPoolExecutor
@@ -270,8 +280,9 @@ def _cmd_estimate(args):
     family = _read_family(args)
     dens = _parse_density(family, args.p)
     map_fn = map
-    if args.jobs > 1:
-        runner = _pool_map(args.jobs)
+    workers = worker_count(args.jobs, args.trials)
+    if workers > 1:
+        runner = _pool_map(workers)
         map_fn = lambda fn, items: runner(fn, list(items))  # noqa: E731
     stats = estimate_dist(args.n, dens, family, args.trials, args.seed,
                           kmax=args.kmax, mode=args.mode, max_n=args.max_n,

@@ -1,4 +1,4 @@
-"""Types (colored regularity graphs): representation, embedding tests,
+"""Types (colored regularity graphs): representation, embedding test,
 admissibility against a forbidden family, and bounded enumeration.
 
 A type is a complete graph whose vertices and edges carry nonempty color
@@ -10,13 +10,18 @@ produces a member.
 
 Color sets are stored as bitmasks.  Multicolor: bit c-1 for color c in 1..r.
 Directed: one bit per pair code, with single-arc bits read relative to the
-stored vertex order, mirrored when the pair is viewed the other way round.
+stored vertex order.  ``RType`` and ``DirType`` differ only in their color
+field (``r`` or ``palette``) and its validation; both share one body that
+builds, at construction, a k x k table of the masks seen from each ordered
+vertex pair (the single-arc bits of a directed edge swapped on the far side),
+and every test and transformation reads that table.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 from .errors import EnumerationGuardError
 from .graphs import (
@@ -25,16 +30,14 @@ from .graphs import (
     BWD,
     FWD,
     NONEDGE,
-    ColoredGraph,
     DiGraph,
     Palette,
     PropertyFamily,
-    mirror_mask,
+    arcs_acyclic,
     pair_count,
     pair_index,
     pairs,
 )
-from .spectrum import _arcs_acyclic
 
 DEFAULT_CANDIDATE_CEILING = 5_000_000
 
@@ -70,18 +73,77 @@ def dir_mask_codes(mask: int):
     return tuple(c for c in (NONEDGE, BIEDGE, FWD, BWD) if mask & (1 << c))
 
 
+class _TypeBody:
+    """What RType and DirType share: the mask table and everything read
+    from it.  ``arrows`` holds the two single-arc bits (none for multicolor);
+    a mask seen from the other end of a pair has them swapped.  Each class
+    also carries the other arity's field at its empty value (``palette =
+    None`` or ``r = 0``), as :class:`PropertyFamily` does, so that arities
+    compare without type checks."""
+
+    arrows = 0
+
+    def __post_init__(self):
+        k = self.k
+        if len(self.edge_sets) != pair_count(k):
+            raise ValueError("wrong number of edge sets")
+        self._validate()
+        table = [[0] * k for _ in range(k)]
+        edges = iter(self.edge_sets)
+        for x, row in enumerate(table):
+            row[x] = self.vertex_sets[x]
+            for y in range(x + 1, k):
+                row[y] = m = next(edges)
+                table[y][x] = self._mirror(m)
+        object.__setattr__(self, "table", tuple(map(tuple, table)))
+
+    def _mirror(self, mask):
+        arrows = mask & self.arrows
+        return mask if arrows in (0, self.arrows) else mask ^ self.arrows
+
+    @property
+    def k(self) -> int:
+        return len(self.vertex_sets)
+
+    def phi(self, x, y) -> int:
+        """Color-set mask at a vertex (x == y) or at the ordered pair (x, y)."""
+        return self.table[x][y]
+
+    def encoding(self):
+        return (self.vertex_sets, self.edge_sets)
+
+    def _like(self, vsets, esets):
+        return replace(self, vertex_sets=tuple(vsets), edge_sets=tuple(esets))
+
+    def permuted(self, perm):
+        """Relabel vertices: new vertex x is old vertex perm[x]."""
+        return self._like(*_permuted_encoding(self.table, perm))
+
+    def sub_type(self, subset):
+        sub = sorted(subset)
+        if not sub:
+            raise ValueError("sub-type needs at least one vertex")
+        return self._like(*_permuted_encoding(self.table, sub))
+
+
+def _permuted_encoding(table, perm):
+    return (tuple(table[x][x] for x in perm),
+            tuple(table[perm[a]][perm[b]] for a, b in pairs(len(perm))))
+
+
 @dataclass(frozen=True)
-class RType:
+class RType(_TypeBody):
     """A multicolor type on k vertices."""
 
     r: int
     vertex_sets: tuple
     edge_sets: tuple
+    table: tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    palette = None
+
+    def _validate(self):
         full = (1 << self.r) - 1
-        if len(self.edge_sets) != pair_count(self.k):
-            raise ValueError("wrong number of edge sets")
         for m in self.vertex_sets:
             if not 0 < m < full:
                 raise ValueError("vertex sets must be nonempty proper color subsets")
@@ -89,36 +151,9 @@ class RType:
             if not 0 < m <= full:
                 raise ValueError("edge sets must be nonempty")
 
-    @property
-    def k(self) -> int:
-        return len(self.vertex_sets)
-
-    def phi(self, x, y) -> int:
-        """Color-set mask at a vertex (x == y) or edge."""
-        if x == y:
-            return self.vertex_sets[x]
-        return self.edge_sets[pair_index(self.k, x, y)]
-
-    def encoding(self):
-        return (self.vertex_sets, self.edge_sets)
-
-    def permuted(self, perm) -> RType:
-        k = self.k
-        vsets = tuple(self.vertex_sets[perm[x]] for x in range(k))
-        esets = tuple(self.phi(perm[a], perm[b]) for a, b in pairs(k))
-        return RType(self.r, vsets, esets)
-
-    def sub_type(self, subset) -> RType:
-        sub = sorted(subset)
-        if not sub:
-            raise ValueError("sub-type needs at least one vertex")
-        vsets = tuple(self.vertex_sets[x] for x in sub)
-        esets = tuple(self.phi(sub[a], sub[b]) for a, b in pairs(len(sub)))
-        return RType(self.r, vsets, esets)
-
 
 @dataclass(frozen=True)
-class DirType:
+class DirType(_TypeBody):
     """A directed type on k vertices over a palette.
 
     Edge masks are stored for the pair (x, y) with x < y; ``phi(y, x)`` is
@@ -129,48 +164,19 @@ class DirType:
     palette: Palette
     vertex_sets: tuple
     edge_sets: tuple
+    table: tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    r = 0
+    arrows = ARROW_MASK
+
+    def _validate(self):
         full = self.palette.mask
-        if len(self.edge_sets) != pair_count(self.k):
-            raise ValueError("wrong number of edge sets")
         for m in self.vertex_sets:
             if not 0 < m < full or m & ~full:
                 raise ValueError("vertex sets must be nonempty proper palette subsets")
         for m in self.edge_sets:
             if not 0 < m <= full or m & ~full:
                 raise ValueError("edge sets must be nonempty palette subsets")
-
-    @property
-    def k(self) -> int:
-        return len(self.vertex_sets)
-
-    def phi(self, x, y) -> int:
-        """Mask at a vertex or at the ordered pair (x, y)."""
-        if x == y:
-            return self.vertex_sets[x]
-        m = self.edge_sets[pair_index(self.k, x, y)]
-        return m if x < y else mirror_mask(m)
-
-    def encoding(self):
-        return (self.vertex_sets, self.edge_sets)
-
-    def permuted(self, perm) -> DirType:
-        k = self.k
-        vsets = tuple(self.vertex_sets[perm[x]] for x in range(k))
-        esets = []
-        for a, b in pairs(k):
-            m = self.phi(perm[a], perm[b])  # oriented as (new a, new b)
-            esets.append(m)
-        return DirType(self.palette, vsets, tuple(esets))
-
-    def sub_type(self, subset) -> DirType:
-        sub = sorted(subset)
-        if not sub:
-            raise ValueError("sub-type needs at least one vertex")
-        vsets = tuple(self.vertex_sets[x] for x in sub)
-        esets = tuple(self.phi(sub[a], sub[b]) for a, b in pairs(len(sub)))
-        return DirType(self.palette, vsets, tuple(esets))
 
 
 def sub_type(k_type, subset):
@@ -179,108 +185,67 @@ def sub_type(k_type, subset):
 
 def canonical_key(k_type):
     """Lexicographically minimal encoding over all vertex permutations."""
-    best = None
-    for perm in itertools.permutations(range(k_type.k)):
-        enc = k_type.permuted(perm).encoding()
-        if best is None or enc < best:
-            best = enc
-    return best
+    table = k_type.table
+    return min(_permuted_encoding(table, perm)
+               for perm in itertools.permutations(range(k_type.k)))
 
 
 def canonicalize(k_type):
-    key = canonical_key(k_type)
-    if isinstance(k_type, RType):
-        return RType(k_type.r, key[0], key[1])
-    return DirType(k_type.palette, key[0], key[1])
+    return k_type._like(*canonical_key(k_type))
 
 
-def embeds(h: ColoredGraph, k_type: RType) -> bool:
+@functools.lru_cache(maxsize=64)
+def _pair_bits(h):
+    """``bits[v][u]``: the bit of the pair {u, v}'s color as seen from v, in
+    type masks (bit c-1 for color c, bit c for pair code c)."""
+    low = 0 if isinstance(h, DiGraph) else 1
+    return tuple(tuple(1 << (h.color(v, u) - low) if u != v else 0 for u in range(h.n))
+                 for v in range(h.n))
+
+
+def embeds(h, k_type) -> bool:
     """Whether some vertex map carries every pair color of ``h`` into the
-    color set of its image vertex or edge."""
-    if h.r != k_type.r:
-        raise ValueError("color counts differ")
-    if h.n == 0:
-        return True
-    k = k_type.k
-    bits = [1 << (c - 1) for c in h.colors]
-    image = [0] * h.n
+    color set of its image vertex or edge (orientation included).
 
-    def place(v):
-        if v == h.n:
-            return True
-        for x in range(k):
-            ok = True
-            for u in range(v):
-                if not bits[pair_index(h.n, u, v)] & k_type.phi(image[u], x):
-                    ok = False
-                    break
-            if ok:
-                image[v] = x
-                if place(v + 1):
-                    return True
-        return False
-
-    return place(0)
-
-
-def embeds_dir(h: DiGraph, k_type: DirType) -> bool:
-    """Directed embedding test.
-
-    Cross pairs must carry a color allowed on the image edge (orientation
-    matters).  Inside one class, pair states missing from the vertex set are
-    forbidden, except that a class whose set holds exactly one arrow accepts
-    any single arcs that form an acyclic digraph.
+    Inside one class, a directed vertex set holding exactly one arrow accepts
+    single arcs either way as long as the class's arcs stay acyclic.
     """
-    if h.n == 0:
-        return True
-    k = k_type.k
+    if isinstance(h, DiGraph) != (k_type.palette is not None) or getattr(h, "r", 0) != k_type.r:
+        raise ValueError("graph arity does not match the type")
+    bits = _pair_bits(h)
+    k, arrows, allowed = k_type.k, k_type.arrows, k_type.table
+    ordered = [bin(allowed[x][x] & arrows).count("1") == 1 for x in range(k)]
+    if any(ordered):
+        allowed = [list(row) for row in allowed]
+        for x in range(k):
+            if ordered[x]:
+                allowed[x][x] |= arrows
     image = [0] * h.n
     members = [[] for _ in range(k)]
-    arrow_count = [bin(vs & ARROW_MASK).count("1") for vs in k_type.vertex_sets]
+    fwd = 1 << FWD
 
-    def class_ok(v, x):
-        vs = k_type.vertex_sets[x]
-        arcs = []
-        for u in members[x]:
-            c = h.color(u, v)
-            if c == NONEDGE:
-                if not vs & (1 << NONEDGE):
-                    return False
-            elif c == BIEDGE:
-                if not vs & (1 << BIEDGE):
-                    return False
-            elif arrow_count[x] == 0:
-                return False
-        if arrow_count[x] == 1:
-            group = members[x] + [v]
-            for a, b in itertools.combinations(group, 2):
-                c = h.color(a, b)
-                if c == FWD:
-                    arcs.append((a, b))
-                elif c == BWD:
-                    arcs.append((b, a))
-            if not _arcs_acyclic(h.n, arcs):
-                return False
-        return True
+    def acyclic(group):
+        return arcs_acyclic(h.n, [(a, b) for a, b in itertools.permutations(group, 2)
+                                  if bits[a][b] == fwd])
 
     def place(v):
         if v == h.n:
             return True
+        row = bits[v]
         for x in range(k):
-            ok = True
+            seen = allowed[x]
             for u in range(v):
-                y = image[u]
-                if y == x:
-                    continue
-                if not (1 << h.color(u, v)) & k_type.phi(y, x):
-                    ok = False
+                if not row[u] & seen[image[u]]:
                     break
-            if ok and class_ok(v, x):
+            else:
+                group = members[x]
+                if ordered[x] and len(group) > 1 and not acyclic(group + [v]):
+                    continue
                 image[v] = x
-                members[x].append(v)
+                group.append(v)
                 if place(v + 1):
                     return True
-                members[x].pop()
+                group.pop()
         return False
 
     return place(0)
@@ -288,25 +253,16 @@ def embeds_dir(h: DiGraph, k_type: DirType) -> bool:
 
 def in_admissible_set(k_type, family: PropertyFamily) -> bool:
     """Whether no forbidden graph embeds in the type."""
-    if family.is_directed:
-        if not isinstance(k_type, DirType) or k_type.palette != family.palette:
-            raise ValueError("type palette does not match the family")
-        return not any(embeds_dir(h, k_type) for h in family.forbidden)
-    if not isinstance(k_type, RType) or k_type.r != family.r:
+    if (k_type.r, k_type.palette) != (family.r, family.palette):
         raise ValueError("type arity does not match the family")
     return not any(embeds(h, k_type) for h in family.forbidden)
 
 
 def _choices(family: PropertyFamily):
-    if family.is_directed:
-        full = family.palette.mask
-        vertex = [m for m in range(1, full + 1) if m != full and not m & ~full]
-        edge = [m for m in range(1, full + 1) if not m & ~full]
-    else:
-        full = (1 << family.r) - 1
-        vertex = list(range(1, full))
-        edge = list(range(1, full + 1))
-    return vertex, edge
+    """Vertex and edge set choices, ascending: nonempty (proper) submasks."""
+    full = family.full_mask
+    edge = [m for m in range(1, full + 1) if not m & ~full]
+    return edge[:-1], edge
 
 
 def _make(family, vsets, esets):

@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .crg import DirType, RType, enumerate_types, mask_colors
+from .crg import RType, enumerate_types, mask_colors
 from .errors import AsymmetricFamilyError, TrivialPropertyError
 from .graphs import (
     ARROW_MASK,
@@ -47,7 +47,7 @@ class UpperCertificate:
     density: object
 
     def recompute(self) -> Fraction:
-        m = m_matrix_for(self.crg_type, self.density)
+        m = m_matrix(self.crg_type, self.density)
         return quad_form(m, self.weights)
 
 
@@ -59,42 +59,23 @@ class DistBound:
     certificate: object = None
 
 
-def m_matrix(k_type: RType, p: DensityVector):
-    """Entry (i, j) is one minus the density mass allowed on that pair."""
-    if k_type.r != p.r:
-        raise ValueError("density length does not match the type")
-    k = k_type.k
+def m_matrix(k_type, dens):
+    """Entry (x, y) is one minus the density mass of the colors the type
+    allows on that pair: bit c-1 carries p_c, or, for a directed type, bit c
+    carries the density of pair code c (each arc direction q)."""
+    if isinstance(dens, DirDensity):
+        if k_type.palette != dens.palette:
+            raise ValueError("density palette does not match the type")
+        masses = (dens.nonedge, dens.p, dens.q, dens.q)
+    else:
+        if k_type.r != dens.r:
+            raise ValueError("density length does not match the type")
+        masses = dens.entries
 
-    def entry(x, y):
-        return ONE - sum((p[c - 1] for c in mask_colors(k_type.phi(x, y))), ZERO)
+    def entry(mask):
+        return ONE - sum((m for bit, m in enumerate(masses) if mask >> bit & 1), ZERO)
 
-    return tuple(tuple(entry(x, y) for y in range(k)) for x in range(k))
-
-
-def m_matrix_dir(k_type: DirType, d: DirDensity):
-    """Directed penalty matrix; each arc direction carries weight q."""
-    if k_type.palette != d.palette:
-        raise ValueError("density palette does not match the type")
-    k = k_type.k
-    p_none = d.nonedge
-
-    def entry(x, y):
-        mask = k_type.phi(x, y)
-        val = ONE
-        if mask & (1 << NONEDGE):
-            val -= p_none
-        if mask & (1 << BIEDGE):
-            val -= d.p
-        val -= d.q * bin(mask & ARROW_MASK).count("1")
-        return val
-
-    return tuple(tuple(entry(x, y) for y in range(k)) for x in range(k))
-
-
-def m_matrix_for(k_type, dens):
-    if isinstance(k_type, RType):
-        return m_matrix(k_type, dens)
-    return m_matrix_dir(k_type, dens)
+    return tuple(tuple(entry(mask) for mask in row) for row in k_type.table)
 
 
 def quad_form(m, w) -> Fraction:
@@ -175,7 +156,7 @@ def dist_upper(family: PropertyFamily, dens, kmax: int, types=None, **kwargs) ->
     best = None
     cache = {}
     for t in types:
-        m = m_matrix_for(t, dens)
+        m = m_matrix(t, dens)
         if m in cache:
             val, w = cache[m]
         else:
@@ -349,7 +330,7 @@ def dist_upper_f(family: PropertyFamily, dens, kmax: int, types=None, **kwargs) 
     best_val = None
     best = None
     for t in types:
-        m = m_matrix_for(t, dens)
+        m = m_matrix(t, dens)
         val = f_value(m)
         if best_val is None or val < best_val:
             best_val = val

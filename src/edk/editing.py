@@ -1,4 +1,5 @@
-"""Randomized editing toward a target type, and the part-based simple edit.
+"""Randomized editing toward a target type, and the part-based simple edit
+as editing toward a clique-spectrum tuple's type.
 
 The type-based algorithm assigns each vertex independently to a part, one per
 type vertex, with the given weights, then recolors every pair whose color the
@@ -9,29 +10,30 @@ w' M w binom(n, 2) at the graph's own densities.
 Recoloring picks the smallest allowed color.  In a digraph part whose vertex
 set holds exactly one arc direction, single arcs are instead redirected along
 a random order of the part, which keeps the part acyclic; pairs forced to
-become arcs follow the same order.
+become arcs follow the same order.  The simple edit is the same recoloring
+toward the weak type of a spectrum tuple, on a fixed partition, with the
+vertex order as every part's order.
 """
 
 from __future__ import annotations
 
+import bisect
 import random
 from fractions import Fraction
 
 from .crg import DirType, RType, mask_colors
-from .distance import m_matrix_for, quad_form
+from .distance import m_matrix, quad_form
 from .graphs import (
     ARROW_MASK,
-    BIEDGE,
     BWD,
     FWD,
-    NONEDGE,
     ColoredGraph,
     DiGraph,
     PropertyFamily,
     pair_count,
     pairs,
 )
-from .spectrum import is_weakly_good
+from .spectrum import is_weakly_good, spectrum_tuple_type
 
 
 def check_weights(weights, k):
@@ -52,12 +54,8 @@ def sample_partition(n, weights, rng) -> tuple:
     for w in weights:
         run += w
         cumulative.append(float(run))
-    parts = []
-    for _ in range(n):
-        u = rng.random()
-        part = next((i for i, c in enumerate(cumulative) if u < c), len(weights) - 1)
-        parts.append(part)
-    return tuple(parts)
+    last = len(weights) - 1
+    return tuple(min(bisect.bisect_right(cumulative, rng.random()), last) for _ in range(n))
 
 
 def edit_by_type(g: ColoredGraph, k_type: RType, weights, seed) -> tuple:
@@ -164,11 +162,11 @@ def simple_edit(g, family: PropertyFamily, spectrum_tuple, equipartition=True, s
     Splits the vertices into sum(tuple) parts, a_i of them tagged with class
     i, then makes each part clean for its tag: tagged color recolored away
     (multicolor), no-arc or two-way pairs recolored (digraph tags 0 and 2), or
-    arcs redirected along the vertex order (tag 1).  The output is always a
-    member: an induced forbidden copy would make the tuple good.
+    arcs redirected along the vertex order (tag 1).  That is the type edit
+    toward :func:`spectrum_tuple_type` on this partition.  The output is
+    always a member: an induced forbidden copy would make the tuple good.
     """
-    if not family.matches(g):
-        raise ValueError("graph arity does not match the family")
+    family.check_graph(g)
     t = tuple(spectrum_tuple)
     if is_weakly_good(t, family):
         raise ValueError(f"tuple {t} is weakly good, not in the spectrum")
@@ -182,67 +180,14 @@ def simple_edit(g, family: PropertyFamily, spectrum_tuple, equipartition=True, s
             raise ValueError("random partition needs a seed")
         rng = random.Random(seed)
         parts = tuple(rng.randrange(total) for _ in range(g.n))
-    tags = []
-    for cls, a in enumerate(t):
-        tags.extend([cls] * a)
-
+    k_type = spectrum_tuple_type(family, t)
     if family.is_directed:
-        return _simple_edit_directed(g, family, parts, tags)
-    return _simple_edit_multicolor(g, parts, tags)
-
-
-def _simple_edit_multicolor(g: ColoredGraph, parts, tags):
-    colors = list(g.colors)
-    changes = 0
-    for idx, (i, j) in enumerate(pairs(g.n)):
-        if parts[i] != parts[j]:
-            continue
-        banned = tags[parts[i]] + 1
-        if colors[idx] == banned:
-            colors[idx] = 1 if banned != 1 else 2
-            changes += 1
-    return ColoredGraph(g.n, g.r, tuple(colors)), changes
-
-
-def _simple_edit_directed(g: DiGraph, family, parts, tags):
-    pal_codes = family.palette.sorted_codes()
-    colors = list(g.colors)
-    changes = 0
-    for idx, (i, j) in enumerate(pairs(g.n)):
-        if parts[i] != parts[j]:
-            continue
-        tag = tags[parts[i]]
-        old = colors[idx]
-        if tag == 0 and old == NONEDGE:
-            colors[idx] = next(c for c in pal_codes if c != NONEDGE)
-            changes += 1
-        elif tag == 2 and old == BIEDGE:
-            colors[idx] = next(c for c in pal_codes if c != BIEDGE)
-            changes += 1
-        elif tag == 1 and old == BWD:
-            # arcs inside the part follow the vertex order, so no cycles remain
-            colors[idx] = FWD
-            changes += 1
-    return DiGraph(g.n, tuple(colors)), changes
-
-
-def spectrum_tuple_type(family: PropertyFamily, spectrum_tuple) -> RType:
-    """The type equivalent to the simple multicolor edit: full edge sets and
-    one vertex per part, colored with everything but the part's tag."""
-    if family.is_directed:
-        raise ValueError("defined for multicolor families")
-    t = tuple(spectrum_tuple)
-    full = (1 << family.r) - 1
-    vsets = []
-    for cls, a in enumerate(t):
-        vsets.extend([full & ~(1 << cls)] * a)
-    if not vsets:
-        raise ValueError("tuple has no parts")
-    return RType(family.r, tuple(vsets), (full,) * pair_count(len(vsets)))
+        return edit_dir_with_partition(g, k_type, parts, dict.fromkeys(range(total), range(g.n)))
+    return edit_with_partition(g, k_type, parts)
 
 
 def expected_changes(k_type, weights, dens, n) -> Fraction:
     """Exact expectation of the change count: w' M w binom(n, 2)."""
     weights = check_weights(weights, k_type.k)
-    m = m_matrix_for(k_type, dens)
+    m = m_matrix(k_type, dens)
     return quad_form(m, weights) * pair_count(n)

@@ -1,5 +1,7 @@
 """Core data model: colored complete graphs, digraphs, palettes, densities,
-forbidden families, and the induced-subgraph / membership / Hamming primitives.
+forbidden families, and the induced-subgraph / membership / Hamming /
+acyclicity primitives.  A family accepts only graphs of its arity and, for
+digraphs, of its palette.
 
 A multicolor graph is a complete graph on ``n`` labeled vertices whose
 unordered pairs carry a color in ``1..r``.  A digraph is a complete graph
@@ -46,16 +48,6 @@ def mirror(code: int) -> int:
     return code
 
 
-def mirror_mask(mask: int) -> int:
-    """Color-set bitmask as seen from the opposite vertex order."""
-    fixed = mask & ~ARROW_MASK
-    if mask & (1 << FWD):
-        fixed |= 1 << BWD
-    if mask & (1 << BWD):
-        fixed |= 1 << FWD
-    return fixed
-
-
 def pair_count(n: int) -> int:
     return n * (n - 1) // 2
 
@@ -69,6 +61,34 @@ def pair_index(n: int, i: int, j: int) -> int:
 
 def pairs(n: int):
     return itertools.combinations(range(n), 2)
+
+
+def arcs_acyclic(n, arcs) -> bool:
+    """Whether the ordered pairs ``arcs`` on vertices 0..n-1 form no
+    directed cycle."""
+    succ = [[] for _ in range(n)]
+    for i, j in arcs:
+        succ[i].append(j)
+    state = [0] * n  # 0 new, 1 on stack, 2 done
+    for start in range(n):
+        if state[start]:
+            continue
+        stack = [(start, 0)]
+        state[start] = 1
+        while stack:
+            v, k = stack[-1]
+            if k < len(succ[v]):
+                stack[-1] = (v, k + 1)
+                w = succ[v][k]
+                if state[w] == 1:
+                    return False
+                if state[w] == 0:
+                    state[w] = 1
+                    stack.append((w, 0))
+            else:
+                state[v] = 2
+                stack.pop()
+    return True
 
 
 @dataclass(frozen=True)
@@ -257,7 +277,7 @@ class DiGraph:
         return DiGraph(self.n, colors)
 
     def fits_palette(self, pal: Palette) -> bool:
-        return all(c in pal.codes for c in self.colors)
+        return pal.codes.issuperset(self.colors)
 
 
 @dataclass(frozen=True)
@@ -392,11 +412,24 @@ class PropertyFamily:
     def min_forbidden_order(self):
         return min(h.n for h in self.forbidden)
 
+    @property
+    def full_mask(self) -> int:
+        """Bitmask of every color (bit c-1) or palette pair state (bit c)."""
+        return self.palette.mask if self.is_directed else (1 << self.r) - 1
+
     def matches(self, graph) -> bool:
-        """Whether a graph has this family's arity."""
+        """Whether a graph has this family's arity and, for digraphs, keeps
+        to its palette."""
         if self.is_directed:
-            return isinstance(graph, DiGraph)
+            return isinstance(graph, DiGraph) and graph.fits_palette(self.palette)
         return isinstance(graph, ColoredGraph) and graph.r == self.r
+
+    def check_graph(self, graph):
+        """Raise ValueError unless :meth:`matches` holds."""
+        if not self.matches(graph):
+            if self.is_directed and isinstance(graph, DiGraph):
+                raise ValueError(f"graph uses pair states outside palette {self.palette.kind}")
+            raise ValueError("graph arity does not match the family")
 
 
 def _check_same_arity(g, h):
@@ -484,8 +517,7 @@ def contains_induced(big, small) -> bool:
 
 def is_member(graph, family: PropertyFamily) -> bool:
     """Membership in the hereditary property: no forbidden graph occurs induced."""
-    if not family.matches(graph):
-        raise ValueError("graph arity does not match the family")
+    family.check_graph(graph)
     masks = neighborhood_masks(graph)
     return all(find_induced(masks, h) is None for h in family.forbidden)
 

@@ -86,8 +86,7 @@ def exact_dist(graph, family: PropertyFamily, max_n=None):
     Guarded by default at small n (override with ``max_n`` or the
     EDK_GUARD_N environment variable).
     """
-    if not family.matches(graph):
-        raise ValueError("graph arity does not match the family")
+    family.check_graph(graph)
     limit = max_n if max_n is not None else size_guard(family)
     if graph.n > limit:
         raise SizeGuardError(

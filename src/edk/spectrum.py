@@ -10,6 +10,12 @@ to induce an acyclic set of arcs and the both-ways parts to induce no two-way
 pair; strong asks for all-empty parts, transitive tournaments and all-two-way
 parts respectively.
 
+Such a split is an embedding into a type (:func:`spectrum_tuple_type`): one
+vertex per part, full edge sets, and on each vertex the states its tag allows
+inside the part.  The oriented tag carries a single arrow, which the
+embedding test reads as "single arcs, acyclic".  So a tuple is good exactly
+when its type is not admissible.
+
 The (weak or strong) clique spectrum is the finite set of tuples that are NOT
 good, and the chromatic number is one more than the largest tuple sum in it.
 Parts tagged with a color whose count a_i is zero do not exist, and refined
@@ -22,7 +28,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .graphs import BIEDGE, BWD, FWD, NONEDGE, DiGraph, PropertyFamily
+from .crg import _make, in_admissible_set
+from .graphs import BIEDGE, BWD, FWD, NONEDGE, DiGraph, PropertyFamily, arcs_acyclic, pair_count
 
 WEAK = "weak"
 STRONG = "strong"
@@ -54,33 +61,7 @@ def is_acyclic(d: DiGraph) -> bool:
                 arcs.append((i, j))
             elif c == BWD:
                 arcs.append((j, i))
-    return _arcs_acyclic(d.n, arcs)
-
-
-def _arcs_acyclic(n, arcs) -> bool:
-    succ = [[] for _ in range(n)]
-    for i, j in arcs:
-        succ[i].append(j)
-    state = [0] * n  # 0 new, 1 on stack, 2 done
-    for start in range(n):
-        if state[start]:
-            continue
-        stack = [(start, 0)]
-        state[start] = 1
-        while stack:
-            v, k = stack[-1]
-            if k < len(succ[v]):
-                stack[-1] = (v, k + 1)
-                w = succ[v][k]
-                if state[w] == 1:
-                    return False
-                if state[w] == 0:
-                    state[w] = 1
-                    stack.append((w, 0))
-            else:
-                state[v] = 2
-                stack.pop()
-    return True
+    return arcs_acyclic(d.n, arcs)
 
 
 def is_transitive_tournament(d: DiGraph) -> bool:
@@ -109,116 +90,38 @@ def _validate_tuple(t, family: PropertyFamily):
     return t
 
 
-def _part_labels(t):
-    labels = []
-    for idx, a in enumerate(t):
-        labels.extend([idx] * a)
-    return labels
+def spectrum_tuple_type(family: PropertyFamily, spectrum_tuple, mode: str = WEAK):
+    """The type whose embeddings are the tuple's part splits: one vertex per
+    part, in tag order, and full edge sets.  A part tagged with a color or
+    pair state allows every other one (weak) or that one alone (strong); the
+    oriented tag allows everything but ``BWD`` (weak) or ``FWD`` alone
+    (strong)."""
+    t = _validate_tuple(spectrum_tuple, family)
+    if mode not in (WEAK, STRONG):
+        raise ValueError(f"mode must be weak or strong, got {mode!r}")
+    if not any(t):
+        raise ValueError("tuple has no parts")
+    if family.is_directed:
+        tags = (NONEDGE, BWD if mode == WEAK else FWD, BIEDGE)
+    else:
+        tags = range(family.r)
+    full = family.full_mask
+    vsets = tuple(full & ~(1 << tag) if mode == WEAK else 1 << tag
+                  for tag, a in zip(tags, t) for _ in range(a))
+    return _make(family, vsets, (full,) * pair_count(len(vsets)))
 
 
-def _multicolor_good(h, labels, strong) -> bool:
-    # labels[part] = color index (0-based); weak forbids that color inside the
-    # part, strong demands it on every inside pair.
-    members = [[] for _ in labels]
-
-    def fits(v, part):
-        want = labels[part] + 1
-        for u in members[part]:
-            c = h.color(u, v)
-            if strong:
-                if c != want:
-                    return False
-            elif c == want:
-                return False
-        return True
-
-    def place(v):
-        if v == h.n:
-            return True
-        for part, lab in enumerate(labels):
-            # identical parts fill left to right
-            if part > 0 and labels[part - 1] == lab and not members[part - 1]:
-                continue
-            if fits(v, part):
-                members[part].append(v)
-                if place(v + 1):
-                    return True
-                members[part].pop()
-        return False
-
-    return place(0)
-
-
-def _directed_good(h, labels, strong) -> bool:
-    members = [[] for _ in labels]
-
-    def fits(v, part):
-        lab = labels[part]
-        for u in members[part]:
-            c = h.color(u, v)
-            if lab == 0:
-                if strong:
-                    if c != NONEDGE:
-                        return False
-                elif c == NONEDGE:
-                    return False
-            elif lab == 2:
-                if strong:
-                    if c != BIEDGE:
-                        return False
-                elif c == BIEDGE:
-                    return False
-            else:
-                if strong and c in (NONEDGE, BIEDGE):
-                    return False
-        if lab == 1:
-            group = members[part] + [v]
-            arcs = []
-            for a, b in itertools.combinations(group, 2):
-                c = h.color(a, b)
-                if c == FWD:
-                    arcs.append((a, b))
-                elif c == BWD:
-                    arcs.append((b, a))
-            if not _arcs_acyclic(h.n, arcs):
-                return False
-        return True
-
-    def place(v):
-        if v == h.n:
-            return True
-        for part, lab in enumerate(labels):
-            if part > 0 and labels[part - 1] == lab and not members[part - 1]:
-                continue
-            if fits(v, part):
-                members[part].append(v)
-                if place(v + 1):
-                    return True
-                members[part].pop()
-        return False
-
-    return place(0)
-
-
-def _good_for_family(t, family, strong) -> bool:
-    labels = _part_labels(t)
-    if not labels:
-        return False  # zero parts cover no vertex
-    for h in family.forbidden:
-        if family.is_directed:
-            if _directed_good(h, labels, strong):
-                return True
-        elif _multicolor_good(h, labels, strong):
-            return True
-    return False
+def _good_for_family(t, family, mode) -> bool:
+    # zero parts cover no vertex
+    return any(t) and not in_admissible_set(spectrum_tuple_type(family, t, mode), family)
 
 
 def is_weakly_good(t, family: PropertyFamily) -> bool:
-    return _good_for_family(_validate_tuple(t, family), family, strong=False)
+    return _good_for_family(_validate_tuple(t, family), family, WEAK)
 
 
 def is_strongly_good(t, family: PropertyFamily) -> bool:
-    return _good_for_family(_validate_tuple(t, family), family, strong=True)
+    return _good_for_family(_validate_tuple(t, family), family, STRONG)
 
 
 def _candidate_tuples(family: PropertyFamily):
@@ -243,9 +146,8 @@ def clique_spectrum(family: PropertyFamily, mode: str = WEAK) -> CliqueSpectrum:
     """The exact set of not-good tuples under palette zero-constraints."""
     if mode not in (WEAK, STRONG):
         raise ValueError(f"mode must be weak or strong, got {mode!r}")
-    strong = mode == STRONG
     bad = frozenset(
-        t for t in _candidate_tuples(family) if not _good_for_family(t, family, strong)
+        t for t in _candidate_tuples(family) if not _good_for_family(t, family, mode)
     )
     return CliqueSpectrum(mode, bad)
 

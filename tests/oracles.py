@@ -52,12 +52,19 @@ def brute_embeds(h, k_type) -> bool:
     """Every map from h's vertices to the type's, checked in full.
 
     Multicolor only: a pair must land on a vertex or edge set holding its
-    color."""
+    color.  The sets are read from the type's fields, not its table."""
     if h.n == 0:
         return True
-    for image in itertools.product(range(k_type.k), repeat=h.n):
+    k = k_type.k
+
+    def allowed(x, y):
+        if x == y:
+            return k_type.vertex_sets[x]
+        return k_type.edge_sets[_tri_index(k, min(x, y), max(x, y))]
+
+    for image in itertools.product(range(k), repeat=h.n):
         if all(
-            (1 << (h.color(u, v) - 1)) & k_type.phi(image[u], image[v])
+            (1 << (h.color(u, v) - 1)) & allowed(image[u], image[v])
             for u, v in itertools.combinations(range(h.n), 2)
         ):
             return True
@@ -67,7 +74,15 @@ def brute_embeds(h, k_type) -> bool:
 def brute_embeds_dir(h, k_type) -> bool:
     """Every map checked in full against the directed embedding rules,
     with an independent mirror computation for oriented pair sets."""
-    from edk.graphs import BIEDGE, BWD, NONEDGE, mirror_mask
+    from edk.graphs import BIEDGE, BWD, NONEDGE
+
+    def mirror_mask(mask):
+        fixed = mask & ~((1 << FWD) | (1 << BWD))
+        if mask & (1 << FWD):
+            fixed |= 1 << BWD
+        if mask & (1 << BWD):
+            fixed |= 1 << FWD
+        return fixed
 
     if h.n == 0:
         return True
@@ -109,6 +124,42 @@ def brute_embeds_dir(h, k_type) -> bool:
 
 def _tri_index(k, i, j):
     return i * (2 * k - i - 1) // 2 + (j - i - 1)
+
+
+def brute_is_good(t, family, strong) -> bool:
+    """Whether some forbidden graph splits into sum(t) labeled parts, t[i]
+    of them tagged i, each part meeting its tag's condition, by trying every
+    assignment of vertices to parts.
+
+    Multicolor tag i (color i + 1): weak, no pair of that color inside the
+    part; strong, every pair of that color.  Directed tags 0, 1, 2 (no arc,
+    oriented, both ways): weak, no empty pair / no directed cycle / no two-way
+    pair; strong, all empty / a transitive tournament / all two-way."""
+    from edk.graphs import BIEDGE, BWD, NONEDGE
+
+    tags = [tag for tag, a in enumerate(t) for _ in range(a)]
+
+    def part_ok(h, members, tag):
+        inside = [h.color(a, b) for a, b in itertools.combinations(members, 2)]
+        if not family.is_directed:
+            if strong:
+                return all(c == tag + 1 for c in inside)
+            return all(c != tag + 1 for c in inside)
+        if tag == 1:
+            if strong and any(c not in (FWD, BWD) for c in inside):
+                return False
+            return not brute_has_directed_cycle(h.induced(members))
+        state = NONEDGE if tag == 0 else BIEDGE
+        if strong:
+            return all(c == state for c in inside)
+        return all(c != state for c in inside)
+
+    for h in family.forbidden:
+        for assign in itertools.product(range(len(tags)), repeat=h.n):
+            groups = [[v for v in range(h.n) if assign[v] == p] for p in range(len(tags))]
+            if all(part_ok(h, g, tags[p]) for p, g in enumerate(groups)):
+                return True
+    return False
 
 
 def brute_has_directed_cycle(d: DiGraph) -> bool:

@@ -114,9 +114,9 @@ def test_criterion_3_tournaments():
 
 def _assert_stationary(bound):
     cert = bound.certificate
-    from edk.distance import m_matrix_for
+    from edk.distance import m_matrix
 
-    m = m_matrix_for(cert.crg_type, cert.density)
+    m = m_matrix(cert.crg_type, cert.density)
     k = len(m)
     for i in range(k):
         if cert.weights[i] > 0:

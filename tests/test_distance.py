@@ -62,14 +62,23 @@ class TestMMatrix:
     def test_directed_tournament_vertex(self):
         t = DirType(edk.palette("tourn"), (1 << FWD,), ())
         d = DirDensity.of(0, HALF, "tourn")
-        assert edk.m_matrix_dir(t, d) == ((HALF,),)
+        assert edk.m_matrix(t, d) == ((HALF,),)
 
     def test_both_arrows_vertex_is_zero(self):
         # under tourn the both-arrow set would be the whole palette, which a
         # vertex may not carry; the full palette shows the zero diagonal
         t = DirType(edk.palette("full"), (dir_set_mask((FWD, BWD)),), ())
         d = DirDensity.of(0, HALF, "full")
-        assert edk.m_matrix_dir(t, d) == ((F(0),),)
+        assert edk.m_matrix(t, d) == ((F(0),),)
+
+    def test_arity_mismatch_is_a_value_error(self):
+        with pytest.raises(ValueError):
+            edk.m_matrix(DirType(edk.palette("tourn"), (1 << FWD,), ()), DensityVector.uniform(2))
+        with pytest.raises(ValueError):
+            edk.m_matrix(RType(2, (1,), ()), DirDensity.of(0, HALF, "tourn"))
+        with pytest.raises(ValueError):
+            edk.m_matrix(DirType(edk.palette("full"), (1 << FWD,), ()),
+                         DirDensity.of(0, HALF, "tourn"))
 
     def test_undir_collapses_to_two_colors(self):
         # biedge as color 1, nonedge as color 2
@@ -84,7 +93,7 @@ class TestMMatrix:
             p = F(rng.randint(0, 8), 8)
             d = DirDensity.of(p, 0, "undir")
             pv = DensityVector.of(p, 1 - p)
-            assert edk.m_matrix_dir(td, d) == edk.m_matrix(tm, pv)
+            assert edk.m_matrix(td, d) == edk.m_matrix(tm, pv)
 
 
 class TestFG:
@@ -103,7 +112,7 @@ class TestFG:
         for k in (2, 3):
             vsets = (1 << FWD,) * k
             esets = (dir_set_mask((FWD, BWD)),) * pair_count(k)
-            m = edk.m_matrix_dir(DirType(pal, vsets, esets), d)
+            m = edk.m_matrix(DirType(pal, vsets, esets), d)
             assert edk.f_value(m) == F(1, 2 * k)
 
     def test_g_identity(self):
@@ -275,7 +284,7 @@ class TestGrid:
 class TestAffineForms:
     def test_forms_evaluate_to_f(self):
         # the linear program's affine descriptions must reproduce f exactly
-        from edk.distance import _affine_forms, m_matrix_for
+        from edk.distance import _affine_forms, m_matrix
 
         rng = random.Random(77)
         fam = mono_triangle_family()
@@ -292,11 +301,11 @@ class TestAffineForms:
                 continue
             p = DensityVector(tuple(F(x, sum(parts)) for x in parts))
             val = c0 + sum(a * b for a, b in zip(cf, p.entries[:2]))
-            assert val == edk.f_value(m_matrix_for(t, p))
+            assert val == edk.f_value(m_matrix(t, p))
 
     def test_directed_forms_evaluate_to_f(self):
         from edk.catalog import transitive_tournament
-        from edk.distance import _affine_forms, m_matrix_for
+        from edk.distance import _affine_forms, m_matrix
         from edk.graphs import DiGraph
 
         rng = random.Random(78)
@@ -331,7 +340,7 @@ class TestAffineForms:
                     else:
                         y = ()
                     val = c0 + sum(a * b for a, b in zip(cf, y))
-                    assert val == edk.f_value(m_matrix_for(t, dens))
+                    assert val == edk.f_value(m_matrix(t, dens))
 
 
 class TestSandwich:

@@ -150,6 +150,11 @@ class TestSimpleEdit:
             assert edk.is_member(edited, fam)
             assert edk.is_acyclic(edited)
 
+    def test_graph_outside_the_palette_is_refused(self):
+        fam = cyclic_triangle_family("tourn")
+        with pytest.raises(ValueError, match="outside palette tourn"):
+            edk.simple_edit(DiGraph(3, (edk.BIEDGE,) * 3), fam, (0, 1, 0))
+
     def test_normalized_cost_near_one_over_parts(self):
         fam = edk.PropertyFamily.multicolor(2, [ColoredGraph.complete(3, 2, 1)])
         g = ColoredGraph.complete(60, 2, 1)

@@ -253,3 +253,50 @@ class TestCli:
         _, first = run(capsys, *args)
         _, second = run(capsys, *args)
         assert first == second
+
+
+class TestCliBoundaries:
+    @pytest.fixture
+    def two_way_graph(self, tmp_path):
+        path = tmp_path / "two_way.graph"
+        path.write_text("directed palette=full\ngraph n=3\n- -\n-\n")
+        return path
+
+    @pytest.mark.parametrize("command, extra", [
+        ("oracle", []),
+        ("edit", ["--type-index", "0", "--kmax", "1", "--weights", "1", "--seed", "1"]),
+    ])
+    def test_graph_outside_the_palette_is_refused(self, capsys, prop_files, two_way_graph,
+                                                   command, extra):
+        code = main([command, "--property", str(prop_files["ctri"]),
+                     "--graph", str(two_way_graph)] + extra)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "outside palette tourn" in captured.err
+
+    @pytest.mark.parametrize("weights, reason", [
+        ("1/2,1/2", "need 1 weights"),
+        ("1/2,x", "Invalid literal for Fraction"),
+    ])
+    def test_bad_weights_are_usage_errors(self, capsys, prop_files, weights, reason):
+        code = main(["edit", "--property", str(prop_files["rainbow"]),
+                     "--graph", str(prop_files["rgraph"]), "--type-index", "0",
+                     "--kmax", "2", "--weights", weights, "--seed", "7"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--weights for the 1-vertex type 0" in captured.err
+        assert reason in captured.err
+
+    def test_worker_count_is_clamped(self, monkeypatch):
+        import os
+
+        from edk.cli import worker_count
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert worker_count(10 ** 9, 50) == 2
+        assert worker_count(10 ** 9, 1) == 1
+        assert worker_count(1, 50) == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert worker_count(10 ** 9, 50) == 1

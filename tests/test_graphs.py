@@ -162,6 +162,13 @@ class TestContainment:
         with pytest.raises(ValueError):
             edk.contains_induced(ColoredGraph.complete(3, 2, 1), mono_triangle(3))
 
+    def test_membership_refuses_graphs_outside_the_palette(self):
+        fam = PropertyFamily.directed("tourn", [cyclic_triangle()])
+        two_way = DiGraph(3, (BIEDGE,) * 3)
+        assert not fam.matches(two_way)
+        with pytest.raises(ValueError, match="outside palette tourn"):
+            edk.is_member(two_way, fam)
+
 
 MATCHER_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 

@@ -96,6 +96,13 @@ class TestExactDist:
             got = exact_dist(g, cyclic_triangle_family("tourn"), max_n=10)
         assert (got[0], "".join(map(str, got[1].colors))) == (edits, witness)
 
+    def test_graph_outside_the_palette_is_refused(self):
+        # a two-way triangle holds no single arc, but the tourn palette has
+        # no two-way pairs, so it is no input for the tourn property
+        two_way = edk.DiGraph(3, (edk.BIEDGE,) * 3)
+        with pytest.raises(ValueError, match="outside palette tourn"):
+            exact_dist(two_way, cyclic_triangle_family("tourn"))
+
     def test_guard(self):
         fam = mono_triangle_family()
         big = ColoredGraph.complete(10, 3, 2)
