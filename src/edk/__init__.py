@@ -5,6 +5,7 @@ brute-force oracles."""
 
 from .errors import (
     AsymmetricFamilyError,
+    CertificateError,
     EnumerationGuardError,
     PropertyFormatError,
     SizeGuardError,
@@ -57,6 +58,7 @@ from .crg import (
 from .distance import (
     DistBound,
     UpperCertificate,
+    check_certificate,
     dist_lower_turan,
     dist_max_upper,
     dist_upper,

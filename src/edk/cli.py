@@ -9,7 +9,8 @@ sits behind an explicit ``--seed``.
 
 Exit codes: 0 success, 1 domain error (trivial property, guard, failed
 reference check), 2 usage error (bad flag or environment variable) or
-malformed file.
+malformed file, 3 internal error (any other exception; the traceback goes to
+stderr).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from fractions import Fraction
 
 from .crg import DirType, dir_mask_codes, enumerate_types, mask_colors
@@ -33,6 +35,7 @@ from .graphs import (
     is_member,
     pair_count,
     pair_index,
+    rational,
 )
 from .oracle import estimate_dist, exact_dist, sample_digraph, sample_rgraph
 from .spectrum import chromatic_number, clique_spectrum
@@ -49,8 +52,17 @@ def _density_list(dens):
     return [_frac(dens.p), _frac(dens.q)]
 
 
+def _rationals(text: str, flag: str):
+    """The comma-separated rationals of a flag's value; a malformed entry is
+    a usage error naming the flag."""
+    try:
+        return [rational(part.strip()) for part in text.split(",")]
+    except ValueError as exc:
+        raise UsageError(f"{flag}: {exc}") from None
+
+
 def _parse_density(family: PropertyFamily, text: str):
-    parts = [Fraction(p.strip()) for p in text.split(",")]
+    parts = _rationals(text, "--p")
     if family.is_directed:
         if len(parts) != 2:
             raise ValueError("directed densities are given as 'p,q'")
@@ -139,7 +151,10 @@ def _cmd_types(args):
 def _cmd_distfn(args):
     family = _read_family(args)
     if args.grid is not None:
-        rows = distfn_grid(family, args.kmax, Fraction(args.grid),
+        step = _rationals(args.grid, "--grid")
+        if len(step) != 1:
+            raise UsageError("--grid takes one rational step")
+        rows = distfn_grid(family, args.kmax, step[0],
                            candidate_ceiling=args.ceiling)
         payload = {"kmax": args.kmax,
                    "grid": [{"p": _density_list(d), "value": _frac(v)} for d, v in rows]}
@@ -193,7 +208,7 @@ def _cmd_edit(args):
     k_type = types[args.type_index]
     try:
         weights = check_weights((w.strip() for w in args.weights.split(",")), k_type.k)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise UsageError(
             f"--weights for the {k_type.k}-vertex type {args.type_index}: {exc}") from None
     payloads = [
@@ -239,13 +254,13 @@ def _cmd_oracle(args):
 
 def _cmd_sample(args):
     if args.p is not None:
-        dens = DensityVector.parse(args.p)
+        dens = DensityVector(tuple(_rationals(args.p, "--p")))
         graph = sample_rgraph(args.n, dens, args.seed)
         text = format_graph(graph)
     else:
         pal = args.palette or "tourn"
         if args.dens is not None:
-            p, q = (Fraction(x.strip()) for x in args.dens.split(","))
+            p, q = _rationals(args.dens, "--dens")
         elif pal == "tourn":
             p, q = Fraction(0), Fraction(1, 2)
         else:
@@ -413,15 +428,16 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
-    except (PropertyFormatError, UsageError) as exc:
+    except (PropertyFormatError, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # domain errors
+    except (ValueError, RuntimeError) as exc:  # domain errors, the guards included
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception:
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

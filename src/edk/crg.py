@@ -15,6 +15,13 @@ field (``r`` or ``palette``) and its validation; both share one body that
 builds, at construction, a k x k table of the masks seen from each ordered
 vertex pair (the single-arc bits of a directed edge swapped on the far side),
 and every test and transformation reads that table.
+
+Enumeration grows admissible types one vertex at a time.  Because the parent
+is admissible, a child can fail only through an embedding that uses the new
+vertex; per parent, those embeddings reduce to a short list of edge rows
+the new vertex must not cover, so a candidate is tested by a few mask
+comparisons, and canonical keys are read from the raw mask table.  A type
+object is built only for each new canonical key.
 """
 
 from __future__ import annotations
@@ -35,7 +42,6 @@ from .graphs import (
     PropertyFamily,
     arcs_acyclic,
     pair_count,
-    pair_index,
     pairs,
 )
 
@@ -94,12 +100,8 @@ class _TypeBody:
             row[x] = self.vertex_sets[x]
             for y in range(x + 1, k):
                 row[y] = m = next(edges)
-                table[y][x] = self._mirror(m)
+                table[y][x] = _mirror(m, self.arrows)
         object.__setattr__(self, "table", tuple(map(tuple, table)))
-
-    def _mirror(self, mask):
-        arrows = mask & self.arrows
-        return mask if arrows in (0, self.arrows) else mask ^ self.arrows
 
     @property
     def k(self) -> int:
@@ -124,6 +126,12 @@ class _TypeBody:
         if not sub:
             raise ValueError("sub-type needs at least one vertex")
         return self._like(*_permuted_encoding(self.table, sub))
+
+
+def _mirror(mask, arrows):
+    """A pair's mask seen from its other end: single arcs swap."""
+    single = mask & arrows
+    return mask if single in (0, arrows) else mask ^ arrows
 
 
 def _permuted_encoding(table, perm):
@@ -185,9 +193,33 @@ def sub_type(k_type, subset):
 
 def canonical_key(k_type):
     """Lexicographically minimal encoding over all vertex permutations."""
-    table = k_type.table
-    return min(_permuted_encoding(table, perm)
-               for perm in itertools.permutations(range(k_type.k)))
+    return _min_encoding(list(itertools.chain.from_iterable(k_type.table)), k_type.k)
+
+
+def _encoding_orders(k):
+    """Per vertex permutation of range(k), the flat k x k table positions of
+    its encoding, vertex sets then edge sets."""
+    return (tuple(x * (k + 1) for x in perm)
+            + tuple(perm[a] * k + perm[b] for a, b in pairs(k))
+            for perm in itertools.permutations(range(k)))
+
+
+@functools.lru_cache(maxsize=None)
+def _kept_orders(k):
+    return tuple(_encoding_orders(k))
+
+
+def _min_encoding(flat, k):
+    """``canonical_key`` of the type whose mask table, row by row, is ``flat``.
+
+    The vertex sets come first and have a fixed length, so comparing the
+    concatenated encodings compares the (vertex sets, edge sets) pairs."""
+    get = flat.__getitem__
+    # the k! orders are kept up to k = 7 (5040 of them); more would not fit
+    # in memory, so larger types get them afresh
+    orders = _kept_orders(k) if k <= 7 else _encoding_orders(k)
+    best = min(tuple(map(get, order)) for order in orders)
+    return best[:k], best[k:]
 
 
 def canonicalize(k_type):
@@ -203,23 +235,23 @@ def _pair_bits(h):
                  for v in range(h.n))
 
 
-def embeds(h, k_type) -> bool:
-    """Whether some vertex map carries every pair color of ``h`` into the
-    color set of its image vertex or edge (orientation included).
+def _images(h, table, arrows, free=False):
+    """Yield every vertex map of ``h`` into the type with mask table
+    ``table`` that carries each pair color into the set of its image vertex
+    or edge, as one list rewritten between yields.
 
     Inside one class, a directed vertex set holding exactly one arrow accepts
-    single arcs either way as long as the class's arcs stay acyclic.
+    single arcs either way as long as the class's arcs stay acyclic.  With
+    ``free``, an extra target vertex ``len(table)`` takes every pair that
+    touches it; the caller tests those pairs.
     """
-    if isinstance(h, DiGraph) != (k_type.palette is not None) or getattr(h, "r", 0) != k_type.r:
-        raise ValueError("graph arity does not match the type")
     bits = _pair_bits(h)
-    k, arrows, allowed = k_type.k, k_type.arrows, k_type.table
-    ordered = [bin(allowed[x][x] & arrows).count("1") == 1 for x in range(k)]
-    if any(ordered):
-        allowed = [list(row) for row in allowed]
-        for x in range(k):
-            if ordered[x]:
-                allowed[x][x] |= arrows
+    k = len(table)
+    ordered = [bin(table[x][x] & arrows).count("1") == 1 for x in range(k)]
+    allowed = [list(row) + [-1] for row in table]  # -1: the free target's column
+    for x in range(k):
+        if ordered[x]:
+            allowed[x][x] |= arrows
     image = [0] * h.n
     members = [[] for _ in range(k)]
     fwd = 1 << FWD
@@ -230,7 +262,8 @@ def embeds(h, k_type) -> bool:
 
     def place(v):
         if v == h.n:
-            return True
+            yield image
+            return
         row = bits[v]
         for x in range(k):
             seen = allowed[x]
@@ -243,12 +276,29 @@ def embeds(h, k_type) -> bool:
                     continue
                 image[v] = x
                 group.append(v)
-                if place(v + 1):
-                    return True
+                yield from place(v + 1)
                 group.pop()
-        return False
+        if free:
+            image[v] = k
+            yield from place(v + 1)
 
     return place(0)
+
+
+def _fits(h, table, arrows) -> bool:
+    return next(_images(h, table, arrows), None) is not None
+
+
+def embeds(h, k_type) -> bool:
+    """Whether some vertex map carries every pair color of ``h`` into the
+    color set of its image vertex or edge (orientation included).
+
+    Inside one class, a directed vertex set holding exactly one arrow accepts
+    single arcs either way as long as the class's arcs stay acyclic.
+    """
+    if isinstance(h, DiGraph) != (k_type.palette is not None) or getattr(h, "r", 0) != k_type.r:
+        raise ValueError("graph arity does not match the type")
+    return _fits(h, k_type.table, k_type.arrows)
 
 
 def in_admissible_set(k_type, family: PropertyFamily) -> bool:
@@ -271,15 +321,73 @@ def _make(family, vsets, esets):
     return RType(family.r, vsets, esets)
 
 
-def _extend_edges(parent_esets, row, k):
-    """Edge layout for k vertices from a (k-1)-type plus the new vertex's row."""
-    esets = []
-    for a, b in pairs(k):
-        if b == k - 1:
-            esets.append(row[a])
-        else:
-            esets.append(parent_esets[pair_index(k - 1, a, b)])
-    return tuple(esets)
+def _extension_needs(parent, family, vertex_choices, class_fits):
+    """Per vertex choice, the minimal rows a new vertex must not cover.
+
+    The parent is admissible, so a forbidden ``h`` embeds in the parent plus
+    a new vertex only by putting a nonempty set J of its vertices on the new
+    one: ``h[J]`` must fit one class with the new vertex set, and the rest of
+    ``h`` must map into the parent.  Such a map fixes, per parent vertex x,
+    the colors ``need[x]`` that the new edge set at x must hold, so a child
+    whose row holds every ``need[x]`` is inadmissible, and every
+    inadmissible child is caught this way.  ``class_fits`` caches, per
+    forbidden graph and J, which vertex choices ``h[J]`` fits.
+    """
+    k = parent.k
+    needs = [set() for _ in vertex_choices]
+    for index, h in enumerate(family.forbidden):
+        bits = _pair_bits(h)
+        for image in _images(h, parent.table, parent.arrows, free=True):
+            on_new = tuple(u for u in range(h.n) if image[u] == k)
+            if not on_new:
+                continue
+            need = [0] * k
+            for w in range(h.n):
+                x = image[w]
+                if x < k:
+                    for u in on_new:
+                        need[x] |= bits[w][u]
+            fits = class_fits.get((index, on_new))
+            if fits is None:
+                sub = h.induced(on_new)
+                fits = class_fits[index, on_new] = [
+                    _fits(sub, ((vs,),), parent.arrows) for vs in vertex_choices]
+            for choice, fit in zip(needs, fits):
+                if fit:
+                    choice.add(tuple(need))
+    return [_minimal(choice) for choice in needs]
+
+
+def _minimal(needs):
+    """The needs that contain no other need."""
+    kept = []
+    for need in sorted(needs, key=lambda n: sum(map(int.bit_count, n))):
+        if not any(all(not a & ~b for a, b in zip(small, need)) for small in kept):
+            kept.append(need)
+    return kept
+
+
+def _free_rows(needs, edge_choices, width):
+    """Every row of ``width`` edge choices that covers none of ``needs``."""
+    rows = [((), (1 << len(needs)) - 1)]  # a prefix and the needs it may still cover
+    for x in range(width):
+        hits = [sum(1 << j for j, need in enumerate(needs) if not need[x] & ~e)
+                for e in edge_choices]
+        rows = [(row + (e,), live & hit) for row, live in rows
+                for e, hit in zip(edge_choices, hits)]
+    return [row for row, live in rows if not live]
+
+
+def _child_key(table, vs, row, arrows):
+    """Canonical key of the parent with mask table ``table`` plus a new
+    vertex with set ``vs`` and edge sets ``row`` to the parent's vertices."""
+    flat = []
+    for parent_row, e in zip(table, row):
+        flat += parent_row
+        flat.append(e)
+    flat += [_mirror(e, arrows) for e in row]
+    flat.append(vs)
+    return _min_encoding(flat, len(table) + 1)
 
 
 def enumerate_types(family: PropertyFamily, kmax: int,
@@ -290,36 +398,36 @@ def enumerate_types(family: PropertyFamily, kmax: int,
 
     Types on k vertices are built by extending the admissible types on k-1
     vertices (every restriction of an admissible type is admissible, so this
-    loses nothing).  Refuses with :class:`EnumerationGuardError` when the raw
-    candidate count would pass ``candidate_ceiling``.
+    loses nothing) by a vertex set and a row of edge sets.  A candidate is
+    rejected when its row covers one of the parent's extension needs (see
+    ``_extension_needs``); a type object is built only for a canonical key
+    not seen before.  Refuses with :class:`EnumerationGuardError` when the
+    raw candidate count would pass ``candidate_ceiling``.
     """
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
     vertex_choices, edge_choices = _choices(family)
+    make = functools.partial(_make, family)
 
-    level = []
-    for vs in vertex_choices:
-        t = _make(family, (vs,), ())
-        if in_admissible_set(t, family):
-            level.append(t)
+    level = [t for t in (make((vs,), ()) for vs in vertex_choices)
+             if in_admissible_set(t, family)]
     level.sort(key=lambda t: t.encoding())
     yield from level
 
     examined = len(vertex_choices)
+    class_fits = {}
     for k in range(2, kmax + 1):
         examined += len(level) * len(vertex_choices) * len(edge_choices) ** (k - 1)
         if examined > candidate_ceiling:
             raise EnumerationGuardError(examined, candidate_ceiling)
         seen = {}
         for parent in level:
-            for vs in vertex_choices:
-                vsets = parent.vertex_sets + (vs,)
-                for row in itertools.product(edge_choices, repeat=k - 1):
-                    cand = _make(family, vsets, _extend_edges(parent.edge_sets, row, k))
-                    if not in_admissible_set(cand, family):
-                        continue
-                    key = canonical_key(cand)
+            table, arrows = parent.table, parent.arrows
+            choice_needs = _extension_needs(parent, family, vertex_choices, class_fits)
+            for vs, needs in zip(vertex_choices, choice_needs):
+                for row in _free_rows(needs, edge_choices, k - 1):
+                    key = _child_key(table, vs, row, arrows)
                     if key not in seen:
-                        seen[key] = _make(family, key[0], key[1])
+                        seen[key] = make(*key)
         level = sorted(seen.values(), key=lambda t: t.encoding())
         yield from level

@@ -11,17 +11,22 @@ g is computed by support enumeration: on the support of a minimizer the
 gradient is constant, so solving the stationarity system for every support
 and keeping the nonnegative candidates is exact even though M is usually
 indefinite.  Supports whose system is singular are skipped; their minima
-reappear on smaller supports.
+reappear on smaller supports.  M is scaled to integers by the least common
+multiple of its denominators and each system is solved by fraction-free
+elimination, so only the winning weights and value become Fractions.
+``check_certificate`` re-verifies an upper bound from its certificate alone.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .crg import RType, enumerate_types, mask_colors
-from .errors import AsymmetricFamilyError, TrivialPropertyError
+from .crg import RType, enumerate_types, in_admissible_set, mask_colors
+from .errors import AsymmetricFamilyError, CertificateError, TrivialPropertyError
 from .graphs import (
     ARROW_MASK,
     BIEDGE,
@@ -31,7 +36,7 @@ from .graphs import (
     PropertyFamily,
     pairs,
 )
-from .ratlin import simplex_max_lex, solve_linear
+from .ratlin import simplex_max_lex, solve_int
 from .spectrum import STRONG, WEAK, clique_spectrum
 
 ZERO = Fraction(0)
@@ -71,11 +76,15 @@ def m_matrix(k_type, dens):
         if k_type.r != dens.r:
             raise ValueError("density length does not match the type")
         masses = dens.entries
+    entry = _mask_entries(tuple(masses)).__getitem__
+    return tuple(tuple(map(entry, row)) for row in k_type.table)
 
-    def entry(mask):
-        return ONE - sum((m for bit, m in enumerate(masses) if mask >> bit & 1), ZERO)
 
-    return tuple(tuple(entry(mask) for mask in row) for row in k_type.table)
+@functools.lru_cache(maxsize=16)
+def _mask_entries(masses):
+    """Per mask over the colors, one minus the density mass of its colors."""
+    return tuple(ONE - sum((m for bit, m in enumerate(masses) if mask >> bit & 1), ZERO)
+                 for mask in range(1 << len(masses)))
 
 
 def quad_form(m, w) -> Fraction:
@@ -99,29 +108,33 @@ def g_value(m):
     """Exact global minimum of w' M w over the simplex and a minimizing w.
 
     Returns (value, weights).  On the returned support, (M w) is constant and
-    equal to the value.
+    equal to the value.  Supports are tried in increasing bitmask order and
+    the first strict minimum wins.
     """
     k = len(m)
-    best_val = None
-    best_w = None
+    scale = math.lcm(*(e.denominator for row in m for e in row))
+    a = [[e.numerator * (scale // e.denominator) for e in row] for row in m]
+    best = None  # (lambda numerator, det, support, weight numerators)
     for mask in range(1, 1 << k):
         support = [i for i in range(k) if mask >> i & 1]
         s = len(support)
-        rows = [[m[i][j] for j in support] + [Fraction(-1)] for i in support]
-        rows.append([ONE] * s + [ZERO])
-        sol = solve_linear(rows, [ZERO] * s + [ONE])
+        # stationarity on the support: (scale M) w - lambda 1 = 0, sum w = 1
+        rows = [[a[i][j] for j in support] + [-1, 0] for i in support]
+        rows.append([1] * s + [0, 1])
+        sol = solve_int(rows)
         if sol is None:
             continue
-        if any(v < 0 for v in sol[:s]):
+        det, nums = sol
+        if any(v < 0 for v in nums[:s]):
             continue
-        w = [ZERO] * k
-        for i, v in zip(support, sol):
-            w[i] = v
-        val = quad_form(m, w)
-        if best_val is None or val < best_val:
-            best_val = val
-            best_w = tuple(w)
-    return best_val, best_w
+        # the value w' M w is lambda / scale; compare lambda = nums[s] / det
+        if best is None or nums[s] * best[1] < best[0] * det:
+            best = (nums[s], det, support, nums[:s])
+    lam, det, support, nums = best
+    w = [ZERO] * k
+    for i, v in zip(support, nums):
+        w[i] = Fraction(v, det)
+    return Fraction(lam, det * scale), tuple(w)
 
 
 def _min_entry(m):
@@ -168,6 +181,28 @@ def dist_upper(family: PropertyFamily, dens, kmax: int, types=None, **kwargs) ->
             best_val = val
             best = UpperCertificate(t, w, dens)
     return DistBound(best_val, "upper", kmax, best)
+
+
+def check_certificate(family: PropertyFamily, bound: DistBound) -> None:
+    """Re-verify a ``dist_upper`` result from its certificate alone.
+
+    Checks that the type is admissible for the family, that the weights lie
+    on the simplex, that w' M w recomputes to the value, and that (M w)_i
+    equals the value on the support.  Raises :class:`CertificateError`
+    naming the first check that fails.
+    """
+    cert = bound.certificate
+    k_type, w = cert.crg_type, cert.weights
+    if not in_admissible_set(k_type, family):
+        raise CertificateError("the certificate type is not admissible for the family")
+    if len(w) != k_type.k or any(x < 0 for x in w) or sum(w) != 1:
+        raise CertificateError("the certificate weights do not lie on the simplex")
+    if cert.recompute() != bound.value:
+        raise CertificateError("the certificate does not recompute to the bound")
+    m = m_matrix(k_type, cert.density)
+    for row, wi in zip(m, w):
+        if wi and sum(e * x for e, x in zip(row, w)) != bound.value:
+            raise CertificateError("(M w) differs from the bound on the support")
 
 
 def dist_lower_turan(family: PropertyFamily) -> DistBound:
@@ -360,10 +395,9 @@ def symmetric_bound(family: PropertyFamily) -> Fraction:
 
 
 def _grid_points(family, step: Fraction):
-    n = Fraction(1) / step
-    if n.denominator != 1:
-        raise ValueError("grid step must divide 1")
-    n = n.numerator
+    if step <= 0 or (1 / step).denominator != 1:
+        raise ValueError("grid step must be positive and divide 1")
+    n = (1 / step).numerator
     if not family.is_directed:
         r = family.r
         for combo in itertools.combinations(range(n + r - 1), r - 1):

@@ -32,12 +32,13 @@ from .graphs import (
     PropertyFamily,
     pair_count,
     pairs,
+    rational,
 )
 from .spectrum import is_weakly_good, spectrum_tuple_type
 
 
 def check_weights(weights, k):
-    weights = tuple(Fraction(w) for w in weights)
+    weights = tuple(map(rational, weights))
     if len(weights) != k:
         raise ValueError(f"need {k} weights")
     if any(w < 0 for w in weights) or sum(weights) != 1:

@@ -15,7 +15,7 @@ class PropertyFormatError(ValueError):
 
 
 class UsageError(ValueError):
-    """Raised when a setting read from the environment is malformed."""
+    """Raised when a flag value or an environment setting is malformed."""
 
 
 class TrivialPropertyError(ValueError):
@@ -24,6 +24,10 @@ class TrivialPropertyError(ValueError):
 
 class AsymmetricFamilyError(ValueError):
     """The family is not invariant under color permutations."""
+
+
+class CertificateError(ValueError):
+    """An upper-bound certificate failed re-verification; names the check."""
 
 
 class EnumerationGuardError(RuntimeError):

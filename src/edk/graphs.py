@@ -280,6 +280,15 @@ class DiGraph:
         return pal.codes.issuperset(self.colors)
 
 
+def rational(value) -> Fraction:
+    """``Fraction(value)``; a zero denominator is a ``ValueError`` naming the
+    entry instead of a bare ``ZeroDivisionError``."""
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"{value!r} has a zero denominator") from None
+
+
 @dataclass(frozen=True)
 class DensityVector:
     """Exact color densities p_1..p_r, nonnegative and summing to one."""
@@ -304,10 +313,6 @@ class DensityVector:
     @classmethod
     def uniform(cls, r):
         return cls((Fraction(1, r),) * r)
-
-    @classmethod
-    def parse(cls, text):
-        return cls.of(*(part.strip() for part in text.split(",")))
 
     @property
     def r(self):

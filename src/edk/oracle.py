@@ -200,6 +200,8 @@ def estimate_dist(n, dens, family: PropertyFamily, trials, seed,
     exact ones sample by sample under shared seeds.  ``map_fn`` lets callers
     fan trials out to a worker pool; results do not depend on scheduling.
     """
+    if n < 2:
+        raise ValueError("need at least two vertices: distances are normalized by the pair count")
     if mode == "auto":
         mode = "exact" if n <= (max_n if max_n is not None else size_guard(family)) else "algorithmic"
     if mode not in ("exact", "algorithmic"):

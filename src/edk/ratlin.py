@@ -1,9 +1,9 @@
-"""Exact rational linear algebra for small dense systems, plus a simplex
-solver with a lexicographic objective.
+"""Exact linear algebra for small dense systems: a fraction-free integer
+solver and a simplex solver with a lexicographic objective.
 
-Everything works over :class:`fractions.Fraction`; systems stay tiny (a
-handful of variables), so plain Gaussian elimination and a dense tableau are
-the right tools.
+Systems stay tiny (a handful of variables), so plain elimination and a
+dense tableau are the right tools.  The solver works on Python ints, the
+simplex over :class:`fractions.Fraction`.
 """
 
 from __future__ import annotations
@@ -14,26 +14,33 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def solve_linear(matrix, rhs):
-    """Solve A x = b exactly; return None when A is singular.
+def solve_int(rows):
+    """Solve A x = b over the integers by fraction-free Gauss-Jordan
+    elimination (Bareiss); return None when A is singular.
 
-    ``matrix`` is a list of rows.  Inputs are not modified.
+    ``rows`` holds the augmented rows [A | b] and is overwritten.  Every
+    division is exact, so entries stay integers.  Returns (det, numerators)
+    with det > 0 and x_i = numerators[i] / det.
     """
-    n = len(matrix)
-    a = [list(map(Fraction, row)) + [Fraction(v)] for row, v in zip(matrix, rhs)]
+    n = len(rows)
+    prev = 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if rows[r][col]), None)
         if pivot is None:
             return None
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = a[col][col]
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        top = rows[col]
+        p = top[col]
         for r in range(n):
-            if r == col or a[r][col] == 0:
-                continue
-            factor = a[r][col] / inv
-            for c in range(col, n + 1):
-                a[r][c] -= factor * a[col][c]
-    return [a[r][n] / a[r][r] for r in range(n)]
+            if r != col:
+                row = rows[r]
+                f = row[col]
+                rows[r] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+        prev = p
+    # every diagonal entry now equals prev, the determinant up to sign
+    if prev < 0:
+        return -prev, [-row[n] for row in rows]
+    return prev, [row[n] for row in rows]
 
 
 def _tadd(u, v):

@@ -7,7 +7,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import catalog
-from .distance import dist_lower_turan, dist_max_upper, dist_upper, distfn_grid, symmetric_bound
+from .distance import (
+    check_certificate,
+    dist_lower_turan,
+    dist_max_upper,
+    dist_upper,
+    distfn_grid,
+    symmetric_bound,
+)
 from .errors import TrivialPropertyError
 from .graphs import DensityVector, DirDensity
 from .spectrum import STRONG, WEAK, chromatic_number, clique_spectrum, is_trivial
@@ -23,6 +30,13 @@ def _check(name, expected, actual):
         "actual": str(actual),
         "pass": expected == actual,
     }
+
+
+def _upper(family, dens, kmax):
+    """The ``dist_upper`` value, its certificate re-verified first."""
+    bound = dist_upper(family, dens, kmax)
+    check_certificate(family, bound)
+    return bound.value
 
 
 def case_example_spectra():
@@ -61,19 +75,19 @@ def case_triangles():
     checks.append(_check(
         "mono triangle at (1,0,0)",
         HALF,
-        dist_upper(fam, DensityVector.of(1, 0, 0), 3).value,
+        _upper(fam, DensityVector.of(1, 0, 0), 3),
     ))
     fam = catalog.triangle_112_family()
     checks.append(_check(
         "112 triangle at (1/2,1/2,0)",
         HALF,
-        dist_upper(fam, DensityVector.of(HALF, HALF, 0), 3).value,
+        _upper(fam, DensityVector.of(HALF, HALF, 0), 3),
     ))
     fam = catalog.two_mono_triangles_family()
     checks.append(_check(
         "two mono triangles at (1/2,1/2,0)",
         HALF,
-        dist_upper(fam, DensityVector.of(HALF, HALF, 0), 3).value,
+        _upper(fam, DensityVector.of(HALF, HALF, 0), 3),
     ))
     fam = catalog.bichromatic_triangles_family()
     bound, dens = dist_max_upper(fam, 2)
@@ -104,9 +118,9 @@ def case_tournament_triangle():
     chi = chromatic_number(fam, WEAK)
     checks.append(_check("cyclic triangle chi", 2, chi))
     point = DirDensity.of(0, HALF, "tourn")
-    checks.append(_check("cyclic triangle distance", HALF, dist_upper(fam, point, 1).value))
+    checks.append(_check("cyclic triangle distance", HALF, _upper(fam, point, 1)))
     checks.append(_check(
-        "matches 1/(2(chi-1))", Fraction(1, 2 * (chi - 1)), dist_upper(fam, point, 1).value
+        "matches 1/(2(chi-1))", Fraction(1, 2 * (chi - 1)), _upper(fam, point, 1)
     ))
     return checks
 
@@ -117,7 +131,7 @@ def case_tournament_chi3():
     chi = chromatic_number(fam, WEAK)
     checks.append(_check("QR7 chi", 3, chi))
     point = DirDensity.of(0, HALF, "tourn")
-    value = dist_upper(fam, point, 2).value
+    value = _upper(fam, point, 2)
     checks.append(_check("QR7 distance", Fraction(1, 4), value))
     checks.append(_check("matches 1/(2(chi-1))", Fraction(1, 2 * (chi - 1)), value))
     return checks
@@ -150,7 +164,7 @@ def case_dir_triangles():
         checks.append(_check(
             f"directed triangle under {pal} at (0,1/2)",
             HALF,
-            dist_upper(fam, point[pal], 1).value,
+            _upper(fam, point[pal], 1),
         ))
     for pal in ("full", "compl", "orien"):
         fam = catalog.transitive_triangle_family(pal)

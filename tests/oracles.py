@@ -8,10 +8,14 @@ full enumeration of colorings, partitions by full assignment enumeration.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import minimize
 
+from edk.crg import DirType, RType, canonical_key, in_admissible_set
+from edk.distance import quad_form
+from edk.errors import EnumerationGuardError
 from edk.graphs import FWD, ColoredGraph, DiGraph, pair_count
 
 
@@ -288,3 +292,82 @@ def grid_quadratic_min(matrix, step=1e-3):
         if res.success or res.fun is not None:
             best = min(best, float(res.fun))
     return best
+
+
+def _solve_fractions(matrix, rhs):
+    """Solve A x = b by Gaussian elimination over Fractions; None when A is
+    singular."""
+    n = len(matrix)
+    a = [list(map(Fraction, row)) + [Fraction(v)] for row, v in zip(matrix, rhs)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            return None
+        a[col], a[pivot] = a[pivot], a[col]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                factor = a[r][col] / a[col][col]
+                for c in range(col, n + 1):
+                    a[r][c] -= factor * a[col][c]
+    return [a[r][n] / a[r][r] for r in range(n)]
+
+
+def brute_g_value(m):
+    """Minimum of w' M w over the simplex by support enumeration over
+    Fractions: solve the stationarity system of every support in increasing
+    bitmask order, keep the nonnegative solutions, and return the first
+    strict minimum as (value, weights)."""
+    k = len(m)
+    best_val = best_w = None
+    for mask in range(1, 1 << k):
+        support = [i for i in range(k) if mask >> i & 1]
+        s = len(support)
+        rows = [[m[i][j] for j in support] + [-1] for i in support]
+        rows.append([1] * s + [0])
+        sol = _solve_fractions(rows, [0] * s + [1])
+        if sol is None or any(v < 0 for v in sol[:s]):
+            continue
+        w = [Fraction(0)] * k
+        for i, v in zip(support, sol):
+            w[i] = v
+        val = quad_form(m, w)
+        if best_val is None or val < best_val:
+            best_val, best_w = val, tuple(w)
+    return best_val, best_w
+
+
+def brute_enumerate_types(family, kmax, candidate_ceiling=5_000_000):
+    """Admissible types by building every candidate: each admissible type on
+    k-1 vertices extended by every vertex set and row of edge sets, tested
+    in full with ``in_admissible_set`` and deduplicated by canonical key;
+    ordered by vertex count, then encoding."""
+    full = family.full_mask
+    edge_choices = [m for m in range(1, full + 1) if not m & ~full]
+    vertex_choices = edge_choices[:-1]
+
+    def make(vsets, esets):
+        if family.is_directed:
+            return DirType(family.palette, tuple(vsets), tuple(esets))
+        return RType(family.r, tuple(vsets), tuple(esets))
+
+    level = sorted((t for t in (make((vs,), ()) for vs in vertex_choices)
+                    if in_admissible_set(t, family)), key=lambda t: t.encoding())
+    out = list(level)
+    examined = len(vertex_choices)
+    for k in range(2, kmax + 1):
+        examined += len(level) * len(vertex_choices) * len(edge_choices) ** (k - 1)
+        if examined > candidate_ceiling:
+            raise EnumerationGuardError(examined, candidate_ceiling)
+        seen = {}
+        for parent in level:
+            for vs in vertex_choices:
+                for row in itertools.product(edge_choices, repeat=k - 1):
+                    esets = [parent.edge_sets[_tri_index(k - 1, a, b)] if b < k - 1 else row[a]
+                             for a, b in itertools.combinations(range(k), 2)]
+                    cand = make(parent.vertex_sets + (vs,), esets)
+                    if in_admissible_set(cand, family):
+                        key = canonical_key(cand)
+                        seen.setdefault(key, make(*key))
+        level = sorted(seen.values(), key=lambda t: t.encoding())
+        out += level
+    return out

@@ -1,0 +1,226 @@
+"""The exact bounds pass: integer support enumeration for g and incremental
+admissibility in the type enumeration, each against the reference it
+replaced in tests/oracles.py, plus the certificate check."""
+
+import hashlib
+import itertools
+from dataclasses import replace
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import edk
+from edk import CertificateError, ColoredGraph, DiGraph, RType, catalog
+from edk.graphs import PALETTES, pair_count
+from edk.ratlin import solve_int
+from oracles import brute_enumerate_types, brute_g_value
+
+SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric rational matrices with k <= 5: negative entries, mixed
+    denominators, and repeated rows or constant blocks, whose supports have
+    singular stationarity systems."""
+    k = draw(st.integers(1, 5))
+    entry = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3, 4, 5, 12)))
+    m = [[None] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            m[i][j] = m[j][i] = draw(entry)
+    if k > 1 and draw(st.booleans()):  # vertex b repeats vertex a
+        a, b = draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
+        for i in range(k):
+            m[b][i] = m[i][b] = m[a][i]
+        m[b][b] = m[a][a] = m[a][b]
+    if draw(st.booleans()):  # one constant value somewhere
+        c = draw(entry)
+        m = [[c if draw(st.booleans()) else e for e in row] for row in m]
+        m = [[m[min(i, j)][max(i, j)] for j in range(k)] for i in range(k)]
+    return tuple(map(tuple, m))
+
+
+class TestGAgainstFractions:
+    @SETTINGS
+    @given(symmetric_matrices())
+    def test_value_and_weights(self, m):
+        value, weights = edk.g_value(m)
+        assert (value, weights) == brute_g_value(m)
+        assert all(type(w) is Fraction for w in weights)
+
+    def test_constant_matrix_keeps_the_first_vertex(self):
+        m = ((Fraction(1, 3),) * 3,) * 3
+        assert edk.g_value(m) == (Fraction(1, 3), (1, 0, 0))
+
+    def test_solve_int_is_exact_and_flags_singular_systems(self):
+        assert solve_int([[2, 1, 3], [1, 3, 5]]) == (5, [4, 7])  # x = 4/5, y = 7/5
+        assert solve_int([[0, 2, 4], [-3, 0, 3]]) == (6, [-6, 12])  # x = -1, y = 2
+        assert solve_int([[1, 2, 1], [2, 4, 2]]) is None
+
+    @pytest.mark.parametrize("name, kmax", [("mono", 3), ("rainbow", 2), ("qr7", 2),
+                                            ("cyclic-full", 2), ("both-orien", 2)])
+    def test_enumerated_types_at_interior_densities(self, name, kmax):
+        family = {
+            "mono": catalog.mono_triangle_family(),
+            "rainbow": catalog.rainbow_triangle_family(),
+            "qr7": catalog.qr7_family(),
+            "cyclic-full": catalog.cyclic_triangle_family("full"),
+            "both-orien": catalog.both_triangles_family("orien"),
+        }[name]
+        types = list(edk.enumerate_types(family, kmax))
+        points = interior_points(family, 6)
+        assert points
+        for dens in points:
+            for t in types[::7]:
+                m = edk.m_matrix(t, dens)
+                assert edk.g_value(m) == brute_g_value(m)
+            edk.check_certificate(family, edk.dist_upper(family, dens, kmax, types))
+
+
+def interior_points(family, den):
+    """Densities with denominator ``den`` at which every color, or every
+    pair state of the palette, has positive mass."""
+    if not family.is_directed:
+        return [edk.DensityVector(tuple(Fraction(a, den) for a in parts))
+                for parts in itertools.product(range(1, den), repeat=family.r)
+                if sum(parts) == den]
+    points = []
+    for i in range(den + 1):
+        for j in range((den - i) // 2 + 1):
+            try:
+                dens = edk.DirDensity(Fraction(i, den), Fraction(j, den), family.palette)
+            except ValueError:
+                continue
+            if all(dens.by_code()[c] > 0 for c in family.palette.codes):
+                points.append(dens)
+    return points
+
+
+class TestCertificateCheck:
+    @pytest.fixture
+    def case(self):
+        family = catalog.mono_triangle_family()
+        dens = edk.DensityVector.of(Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
+        return family, edk.dist_upper(family, dens, 2)
+
+    def test_accepts_dist_upper(self, case):
+        family, bound = case
+        assert edk.check_certificate(family, bound) is None
+
+    def test_inadmissible_type(self, case):
+        family, bound = case
+        cert = replace(bound.certificate, crg_type=RType(3, (1,), ()))
+        with pytest.raises(CertificateError, match="not admissible"):
+            edk.check_certificate(family, replace(bound, certificate=cert))
+
+    def test_weights_off_the_simplex(self, case):
+        family, bound = case
+        k = bound.certificate.crg_type.k
+        cert = replace(bound.certificate, weights=(Fraction(1, k + 1),) * k)
+        with pytest.raises(CertificateError, match="simplex"):
+            edk.check_certificate(family, replace(bound, certificate=cert))
+
+    def test_value_that_does_not_recompute(self, case):
+        family, bound = case
+        with pytest.raises(CertificateError, match="recompute"):
+            edk.check_certificate(family, replace(bound, value=bound.value + 1))
+
+    def test_weights_that_are_not_stationary(self):
+        family = catalog.mono_triangle_family()
+        dens = edk.DensityVector.of(Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
+        t = RType(3, (6, 6), (3,))  # entries 1/2 on the diagonal, 1/6 off it
+        w = (Fraction(1, 3), Fraction(2, 3))
+        cert = edk.UpperCertificate(t, w, dens)
+        bound = edk.DistBound(cert.recompute(), "upper", 2, cert)
+        with pytest.raises(CertificateError, match="support"):
+            edk.check_certificate(family, bound)
+
+
+@st.composite
+def small_families(draw):
+    """One or two forbidden graphs on 3 or 4 vertices (smaller ones leave
+    few types), multicolor with r = 2, 3 or directed on any palette, and a
+    kmax of 2 or 3."""
+    if draw(st.booleans()):
+        r = draw(st.sampled_from((2, 3)))
+        codes = list(range(1, r + 1))
+        make = lambda n, colors: ColoredGraph(n, r, colors)  # noqa: E731
+        build = lambda graphs: edk.PropertyFamily.multicolor(r, graphs)  # noqa: E731
+    else:
+        pal = PALETTES[draw(st.sampled_from(sorted(PALETTES)))]
+        codes = pal.sorted_codes()
+        make = lambda n, colors: DiGraph(n, colors)  # noqa: E731
+        build = lambda graphs: edk.PropertyFamily.directed(pal, graphs)  # noqa: E731
+    graphs = []
+    for _ in range(draw(st.integers(1, 2))):
+        n = draw(st.integers(3, 4))
+        colors = draw(st.lists(st.sampled_from(codes), min_size=pair_count(n),
+                               max_size=pair_count(n)))
+        graphs.append(make(n, tuple(colors)))
+    return build(graphs), draw(st.sampled_from((2, 3, 3)))
+
+
+def _enumeration(enumerate_fn, family, kmax, ceiling):
+    """The encodings, or the guard's candidate count when it refuses."""
+    try:
+        return [t.encoding() for t in enumerate_fn(family, kmax, candidate_ceiling=ceiling)]
+    except edk.EnumerationGuardError as exc:
+        return exc.candidates
+
+
+CEILING = 20_000  # keeps the reference fast; a refusal compares the guard's count
+
+
+class TestEnumerationAgainstBuildingEveryCandidate:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(small_families())
+    def test_random_families(self, case):
+        family, kmax = case
+        assert (_enumeration(edk.enumerate_types, family, kmax, CEILING)
+                == _enumeration(brute_enumerate_types, family, kmax, CEILING))
+
+    @pytest.mark.parametrize("name", ["t112", "k5", "cyclic-tourn", "both-compl"])
+    def test_catalog_families(self, name):
+        family = {
+            "t112": catalog.triangle_112_family(),
+            "k5": catalog.k5_family(),
+            "cyclic-tourn": catalog.cyclic_triangle_family("tourn"),
+            "both-compl": catalog.both_triangles_family("compl"),
+        }[name]
+        assert ([t.encoding() for t in edk.enumerate_types(family, 3)]
+                == [t.encoding() for t in brute_enumerate_types(family, 3)])
+
+
+# Recorded at the commit that built and tested every candidate: the count and
+# the sha256 of the repr of the enumerate_types encodings at kmax = 4.
+K4_GOLDEN = {
+    "both-orien": (421, "e000cc20ed497ffbfd4b8ada62342a40ce9ecf425138d12fae3aa5c3e377c18d"),
+    "two-mono": (1520, "485b2aa2a7845838c254e5be891380c19bc8b8a9d670dde8b3f8b09824786c2a"),
+    "two-triangle": (4354, "ee6ba27dc57ea3e3818f6cb1560501b433557daff797ff1878dbee5e1b830ce3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(K4_GOLDEN))
+def test_k4_golden(name):
+    family = {
+        "both-orien": catalog.both_triangles_family("orien"),
+        "two-mono": catalog.two_mono_triangles_family(),
+        "two-triangle": catalog.two_triangle_family(),
+    }[name]
+    encodings = [t.encoding() for t in edk.enumerate_types(family, 4)]
+    assert (len(encodings), hashlib.sha256(repr(encodings).encode()).hexdigest()) == K4_GOLDEN[name]
+
+
+@pytest.mark.parametrize("family, kmax, ceiling, candidates", [
+    (catalog.mono_triangle_family(), 3, 1000, 12480),
+    (catalog.two_triangle_family(), 5, 5_000_000, 59471670),
+    (catalog.cyclic_triangle_family("full"), 3, 1_000_000, 2226224),
+])
+def test_guard_candidate_counts(family, kmax, ceiling, candidates):
+    # recorded at the same commit as K4_GOLDEN
+    with pytest.raises(edk.EnumerationGuardError) as info:
+        list(edk.enumerate_types(family, kmax, candidate_ceiling=ceiling))
+    assert info.value.candidates == candidates

@@ -300,3 +300,61 @@ class TestCliBoundaries:
         assert worker_count(1, 50) == 1
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert worker_count(10 ** 9, 50) == 1
+
+
+class TestCliErrorKinds:
+    @pytest.mark.parametrize("command, flag", [
+        (["edit", "--graph", "{rgraph}", "--type-index", "0", "--kmax", "1",
+          "--weights", "1/0", "--seed", "7"], "--weights for the 1-vertex type 0"),
+        (["edit", "--graph", "{rgraph}", "--type-index", "0", "--kmax", "2",
+          "--weights", "1/2, 3/0", "--seed", "7"], "--weights for the 1-vertex type 0"),
+        (["distfn", "--kmax", "1", "--p", "1/0,1,0"], "--p"),
+        (["distfn", "--kmax", "1", "--grid", "1/0"], "--grid"),
+        (["estimate", "--n", "5", "--p", "1/3,1/3,1/0", "--trials", "1", "--seed", "1"], "--p"),
+    ])
+    def test_zero_denominator_names_the_flag(self, capsys, prop_files, command, flag):
+        argv = [a.format(rgraph=prop_files["rgraph"]) for a in command]
+        code = main(argv + ["--property", str(prop_files["rainbow"])])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert flag in captured.err
+        assert "/0' has a zero denominator" in captured.err
+
+    def test_sample_zero_denominator(self, capsys):
+        assert main(["sample", "--n", "3", "--seed", "1", "--palette", "full",
+                     "--dens", "0,1/0"]) == 2
+        assert "--dens: '1/0' has a zero denominator" in capsys.readouterr().err
+
+    def test_internal_errors_exit_3_with_a_traceback(self, capsys, prop_files, monkeypatch):
+        import edk.cli
+
+        def broken(args):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setattr(edk.cli, "_cmd_chi", broken)
+        code = main(["chi", "--property", str(prop_files["rainbow"])])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("internal error:\nTraceback (most recent call last):")
+        assert captured.err.rstrip().endswith("TypeError: unsupported operand")
+
+    def test_guard_errors_stay_domain_errors(self, capsys, prop_files):
+        code = main(["types", "--property", str(prop_files["rainbow"]), "--kmax", "3",
+                     "--ceiling", "10"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: enumeration would examine")
+
+    def test_grid_step_must_divide_one(self, capsys, prop_files):
+        code = main(["distfn", "--property", str(prop_files["rainbow"]), "--kmax", "1",
+                     "--grid", "0"])
+        assert code == 1
+        assert "grid step must be positive and divide 1" in capsys.readouterr().err
+
+    def test_estimate_needs_two_vertices(self, capsys, prop_files):
+        code = main(["estimate", "--property", str(prop_files["rainbow"]), "--n", "1",
+                     "--p", "1/3,1/3,1/3", "--trials", "1", "--seed", "1"])
+        assert code == 1
+        assert "need at least two vertices" in capsys.readouterr().err
