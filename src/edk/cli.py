@@ -417,16 +417,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The least accepted value of each integer flag, on every subcommand that
+# takes it.
+_FLAG_MINIMUMS = {"trials": 1, "jobs": 1, "kmax": 1, "ceiling": 1, "type_index": 0}
+
+
+def _check_flag_ranges(args):
+    for name, low in _FLAG_MINIMUMS.items():
+        value = getattr(args, name, None)
+        if value is not None and value < low:
+            flag = "--" + name.replace("_", "-")
+            raise UsageError(f"argument {flag}: must be at least {low}, got {value}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        for flag in ("trials", "jobs"):
-            if getattr(args, flag, 1) < 1:
-                parser.error(f"argument --{flag}: must be at least 1")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        _check_flag_ranges(args)
         return args.handler(args)
     except (PropertyFormatError, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

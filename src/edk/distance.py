@@ -11,31 +11,35 @@ g is computed by support enumeration: on the support of a minimizer the
 gradient is constant, so solving the stationarity system for every support
 and keeping the nonnegative candidates is exact even though M is usually
 indefinite.  Supports whose system is singular are skipped; their minima
-reappear on smaller supports.  M is scaled to integers by the least common
-multiple of its denominators and each system is solved by fraction-free
-elimination, so only the winning weights and value become Fractions.
+reappear on smaller supports.  Each system is solved in integers by
+fraction-free elimination, so only the winning weights and value become
+Fractions.
+
+The bounds read every type at a density through one integer table per
+density: the least common multiple of the density's denominators, and per
+color mask that multiple times one minus the mask's mass.  A type's scaled
+matrix is that table indexed by its mask table, and f depends on a type only
+through its vertex count and how many ordered pairs of its table hold each
+color.  Scaling M by a positive constant changes neither the minimizing
+weights nor the order of the values, so the results are the Fractions the
+per-type matrices would give.  ``m_matrix``, ``f_value``, ``quad_form``,
+``UpperCertificate.recompute`` and ``check_certificate`` stay on Fractions:
 ``check_certificate`` re-verifies an upper bound from its certificate alone.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .crg import RType, enumerate_types, in_admissible_set, mask_colors
+from .crg import enumerate_types, in_admissible_set
 from .errors import AsymmetricFamilyError, CertificateError, TrivialPropertyError
-from .graphs import (
-    ARROW_MASK,
-    BIEDGE,
-    NONEDGE,
-    DensityVector,
-    DirDensity,
-    PropertyFamily,
-    pairs,
-)
+from .graphs import BIEDGE, BWD, FWD, NONEDGE, DensityVector, DirDensity, PropertyFamily
 from .ratlin import simplex_max_lex, solve_int
 from .spectrum import STRONG, WEAK, clique_spectrum
 
@@ -71,13 +75,18 @@ def m_matrix(k_type, dens):
     if isinstance(dens, DirDensity):
         if k_type.palette != dens.palette:
             raise ValueError("density palette does not match the type")
-        masses = (dens.nonedge, dens.p, dens.q, dens.q)
-    else:
-        if k_type.r != dens.r:
-            raise ValueError("density length does not match the type")
-        masses = dens.entries
-    entry = _mask_entries(tuple(masses)).__getitem__
+    elif k_type.r != dens.r:
+        raise ValueError("density length does not match the type")
+    entry = _mask_entries(_masses(dens)).__getitem__
     return tuple(tuple(map(entry, row)) for row in k_type.table)
+
+
+def _masses(dens):
+    """The density mass of each mask bit: p_c at bit c-1, or the density of
+    pair code c at bit c (each arc direction q)."""
+    if isinstance(dens, DirDensity):
+        return (dens.nonedge, dens.p, dens.q, dens.q)
+    return tuple(dens.entries)
 
 
 @functools.lru_cache(maxsize=16)
@@ -85,6 +94,25 @@ def _mask_entries(masses):
     """Per mask over the colors, one minus the density mass of its colors."""
     return tuple(ONE - sum((m for bit, m in enumerate(masses) if mask >> bit & 1), ZERO)
                  for mask in range(1 << len(masses)))
+
+
+@functools.lru_cache(maxsize=16)
+def _scaled_entries(masses):
+    """``_mask_entries`` in integers: (scale, entries) with scale the least
+    common multiple of the masses' denominators and entries[mask] equal to
+    scale times one minus the mass of the mask's colors."""
+    scale = math.lcm(*(m.denominator for m in masses))
+    nums = [m.numerator * (scale // m.denominator) for m in masses]
+    return scale, tuple(scale - sum(n for bit, n in enumerate(nums) if mask >> bit & 1)
+                        for mask in range(1 << len(masses)))
+
+
+def _color_counts(t, colors):
+    """Per mask bit below ``colors``, the ordered vertex pairs of the type's
+    table, the diagonal included, whose mask holds it."""
+    tally = collections.Counter(itertools.chain.from_iterable(t.table))
+    return tuple(sum(n for mask, n in tally.items() if mask >> bit & 1)
+                 for bit in range(colors))
 
 
 def quad_form(m, w) -> Fraction:
@@ -111,15 +139,25 @@ def g_value(m):
     equal to the value.  Supports are tried in increasing bitmask order and
     the first strict minimum wins.
     """
-    k = len(m)
     scale = math.lcm(*(e.denominator for row in m for e in row))
-    a = [[e.numerator * (scale // e.denominator) for e in row] for row in m]
+    return _g_scaled([[e.numerator * (scale // e.denominator) for e in row] for row in m], scale)
+
+
+def _g_scaled(a, scale):
+    """``g_value`` of the matrix a / scale, for an integer matrix ``a`` and a
+    positive integer ``scale``."""
+    k = len(a)
     best = None  # (lambda numerator, det, support, weight numerators)
     for mask in range(1, 1 << k):
         support = [i for i in range(k) if mask >> i & 1]
         s = len(support)
+        rows = [[a[i][j] for j in support] for i in support]
+        # w' M w on the support is at least its least entry: skip when that cannot win
+        if best is not None and min(map(min, rows)) * best[1] >= best[0]:
+            continue
         # stationarity on the support: (scale M) w - lambda 1 = 0, sum w = 1
-        rows = [[a[i][j] for j in support] + [-1, 0] for i in support]
+        for row in rows:
+            row += (-1, 0)
         rows.append([1] * s + [0, 1])
         sol = solve_int(rows)
         if sol is None:
@@ -137,10 +175,6 @@ def g_value(m):
     return Fraction(lam, det * scale), tuple(w)
 
 
-def _min_entry(m):
-    return min(e for row in m for e in row)
-
-
 def _check_density(family, dens):
     if family.is_directed:
         if not isinstance(dens, DirDensity) or dens.palette != family.palette:
@@ -151,12 +185,16 @@ def _check_density(family, dens):
 
 
 def _type_list(family, kmax, types, **kwargs):
+    """The family's types at kmax, or the given list, whose first type must
+    have the family's arity: the integer tables do not check each type."""
     if types is None:
         types = list(enumerate_types(family, kmax, **kwargs))
     if not types:
         raise TrivialPropertyError(
             "no admissible single-vertex type exists; the property has no large members"
         )
+    if (types[0].r, types[0].palette) != (family.r, family.palette):
+        raise ValueError("the types do not have the family's colors")
     return types
 
 
@@ -165,18 +203,21 @@ def dist_upper(family: PropertyFamily, dens, kmax: int, types=None, **kwargs) ->
     kmax vertices, with the witnessing type and weights."""
     _check_density(family, dens)
     types = _type_list(family, kmax, types, **kwargs)
+    scale, entries = _scaled_entries(_masses(dens))
+    entry = entries.__getitem__
     best_val = None
     best = None
-    cache = {}
+    solved = {}
     for t in types:
-        m = m_matrix(t, dens)
-        if m in cache:
-            val, w = cache[m]
+        a = tuple(map(entry, itertools.chain.from_iterable(t.table)))  # scale * M, flat
+        if a in solved:
+            val, w = solved[a]
         else:
-            if best_val is not None and _min_entry(m) >= best_val:
+            # w' M w is at least the least entry of M: skip when that cannot win
+            if best_val is not None and min(a) * best_val.denominator >= best_val.numerator * scale:
                 continue
-            val, w = g_value(m)
-            cache[m] = (val, w)
+            k = t.k
+            val, w = solved[a] = _g_scaled([a[i:i + k] for i in range(0, k * k, k)], scale)
         if best_val is None or val < best_val:
             best_val = val
             best = UpperCertificate(t, w, dens)
@@ -221,38 +262,32 @@ def dist_lower_turan(family: PropertyFamily) -> DistBound:
 
 def _affine_forms(family, types):
     """Deduped affine descriptions of f per type, as (constant, coefficients)
-    over the reduced density variables of the arity."""
+    over the reduced density variables of the arity, with the forms that
+    another form is pointwise no larger than dropped.
+
+    f = 1 - sum_c counts[c] mass_c / k^2, so one form serves every type
+    with the same (k, counts).  Forms are built as integers over the least
+    common multiple of the k^2, doubled for directed families so that the
+    tournament's q = 1/2 stays integral, and become Fractions only once the
+    dominated ones are dropped.
+    """
+    directed = family.is_directed
+    shapes = dict.fromkeys((t.k, _color_counts(t, 4 if directed else family.r))
+                           for t in types)
+    den = math.lcm(*(k * k for k, _ in shapes)) * (2 if directed else 1)
     forms = {}
-    for t in types:
-        k = t.k
-        kk = Fraction(k * k)
-        if isinstance(t, RType):
-            counts = [ZERO] * t.r
-            for x in range(k):
-                for c in mask_colors(t.vertex_sets[x]):
-                    counts[c - 1] += 1
-            for x, y in pairs(k):
-                for c in mask_colors(t.phi(x, y)):
-                    counts[c - 1] += 2
+    for k, counts in shapes:
+        unit = den // (k * k)
+        if not directed:
             # over p_1..p_{r-1}; p_r substituted
-            const = ONE - counts[-1] / kk
-            coefs = tuple((counts[-1] - counts[i]) / kk for i in range(t.r - 1))
+            last = counts[-1]
+            const, coefs = den - last * unit, tuple((last - c) * unit for c in counts[:-1])
         else:
-            s_none = s_bi = s_arrow = ZERO
-            for x in range(k):
-                vs = t.vertex_sets[x]
-                s_none += 1 if vs & (1 << NONEDGE) else 0
-                s_bi += 1 if vs & (1 << BIEDGE) else 0
-                s_arrow += bin(vs & ARROW_MASK).count("1")
-            for x, y in pairs(k):
-                es = t.phi(x, y)
-                s_none += 2 if es & (1 << NONEDGE) else 0
-                s_bi += 2 if es & (1 << BIEDGE) else 0
-                s_arrow += 2 * bin(es & ARROW_MASK).count("1")
+            none, both = counts[NONEDGE], counts[BIEDGE]
             # f = c0 + cp * p + cq * q
-            c0 = ONE - s_none / kk
-            cp = (s_none - s_bi) / kk
-            cq = (2 * s_none - s_arrow) / kk
+            c0 = den - none * unit
+            cp = (none - both) * unit
+            cq = (2 * none - counts[FWD] - counts[BWD]) * unit
             kind = family.palette.kind
             if kind == "full":
                 const, coefs = c0, (cp, cq)
@@ -263,19 +298,19 @@ def _affine_forms(family, types):
             elif kind == "undir":
                 const, coefs = c0, (cp,)
             else:  # tourn: no free variables
-                const, coefs = c0 + cq / 2, ()
+                const, coefs = c0 + cq // 2, ()
         forms[(const, coefs)] = None
-    out = list(forms)
-    # drop forms implied by a pointwise smaller one over the nonnegative domain
-    kept = []
-    for i, (c0, cf) in enumerate(out):
-        dominated = any(
-            j != i and d0 <= c0 and all(a <= b for a, b in zip(df, cf))
-            for j, (d0, df) in enumerate(out)
-        )
-        if not dominated:
-            kept.append((c0, cf))
-    return kept
+    # Drop forms implied by a pointwise smaller one over the nonnegative
+    # domain.  Such a form comes earlier in lexicographic order, and so does
+    # an undominated form below it, so each form is tested against the
+    # undominated forms before it only.
+    undominated = []
+    for c0, cf in sorted(forms):
+        if not any(d0 <= c0 and all(map(operator.le, df, cf)) for d0, df in undominated):
+            undominated.append((c0, cf))
+    keep = set(undominated)
+    return [(Fraction(c0, den), tuple(Fraction(c, den) for c in cf))
+            for c0, cf in forms if (c0, cf) in keep]
 
 
 def _lp_setup(family):
@@ -362,11 +397,19 @@ def dist_upper_f(family: PropertyFamily, dens, kmax: int, types=None, **kwargs) 
     maximization because f is affine in the densities."""
     _check_density(family, dens)
     types = _type_list(family, kmax, types, **kwargs)
+    masses = _masses(dens)
+    scale, entries = _scaled_entries(masses)
+    mass = [scale - entries[1 << bit] for bit in range(len(masses))]  # scale * mass
     best_val = None
     best = None
+    seen = set()
     for t in types:
-        m = m_matrix(t, dens)
-        val = f_value(m)
+        shape = (t.k, _color_counts(t, len(masses)))
+        if shape in seen:  # the f of an earlier type, which cannot win now
+            continue
+        seen.add(shape)
+        kk = t.k * t.k
+        val = Fraction(scale * kk - sum(map(operator.mul, shape[1], mass)), scale * kk)
         if best_val is None or val < best_val:
             best_val = val
             uniform = (Fraction(1, t.k),) * t.k

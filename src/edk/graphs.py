@@ -22,6 +22,7 @@ concurrent workers.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -489,7 +490,7 @@ def find_induced(masks, small, banned=None):
     n, h = len(masks[0]), small.n
     if h > n:
         return None
-    need = [[small.color(u, v) for u in range(v)] for v in range(h)]
+    need = _need_rows(small)
     image = [0] * h
     everyone = (1 << n) - 1
 
@@ -511,6 +512,12 @@ def find_induced(masks, small, banned=None):
         return False
 
     return tuple(image) if extend(0, 0) else None
+
+
+@functools.lru_cache(maxsize=64)
+def _need_rows(small):
+    """``rows[v][u]``: the color the pair {u, v} must keep, for u < v."""
+    return tuple(tuple(small.color(u, v) for u in range(v)) for v in range(small.n))
 
 
 def contains_induced(big, small) -> bool:

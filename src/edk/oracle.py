@@ -10,10 +10,10 @@ pruning.
 
 Each search node rebuilds the working colors' neighborhood bitmasks once
 and shares them between the copy search and the packing bound, both run by
-the matcher in ``graphs``.  The packing bans the pairs of each copy it takes
-through per-vertex masks of banned partners.  The matcher returns the
-lexicographically least copy, so the branch order, and with it the witness,
-is fixed by the input.
+the matcher in ``graphs``.  The packing starts from the copy the search
+found and bans the pairs of each copy it takes through per-vertex masks of
+banned partners.  The matcher returns the lexicographically least copy, so
+the branch order, and with it the witness, is fixed by the input.
 """
 
 from __future__ import annotations
@@ -65,18 +65,18 @@ def _find_copy(family, masks, banned=None):
     return None
 
 
-def _greedy_disjoint_bound(family, masks):
-    """Number of pairwise pair-disjoint forbidden copies; each needs a change."""
+def _greedy_disjoint_bound(family, masks, image):
+    """Number of pairwise pair-disjoint forbidden copies, packed greedily
+    from the copy ``image``; each needs a change."""
     banned = [0] * len(masks[0])
     count = 0
-    while True:
-        image = _find_copy(family, masks, banned)
-        if image is None:
-            return count
+    while image is not None:
         count += 1
         verts = sum(1 << x for x in image)
         for x in image:
             banned[x] |= verts
+        image = _find_copy(family, masks, banned)
+    return count
 
 
 def exact_dist(graph, family: PropertyFamily, max_n=None):
@@ -111,7 +111,7 @@ def exact_dist(graph, family: PropertyFamily, max_n=None):
             best["colors"] = tuple(colors)
             return
         if best["cost"] is not None:
-            bound = _greedy_disjoint_bound(family, masks)
+            bound = _greedy_disjoint_bound(family, masks, image)
             if cost + bound >= best["cost"]:
                 return
         copy = [pair_index(graph.n, a, b) for a, b in itertools.combinations(sorted(image), 2)]

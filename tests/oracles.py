@@ -14,9 +14,9 @@ import numpy as np
 from scipy.optimize import minimize
 
 from edk.crg import DirType, RType, canonical_key, in_admissible_set
-from edk.distance import quad_form
+from edk.distance import f_value, m_matrix, quad_form
 from edk.errors import EnumerationGuardError
-from edk.graphs import FWD, ColoredGraph, DiGraph, pair_count
+from edk.graphs import FWD, ColoredGraph, DensityVector, DiGraph, DirDensity, pair_count
 
 
 def brute_contains_induced(big, small) -> bool:
@@ -371,3 +371,66 @@ def brute_enumerate_types(family, kmax, candidate_ceiling=5_000_000):
         level = sorted(seen.values(), key=lambda t: t.encoding())
         out += level
     return out
+
+
+def brute_dist_upper(dens, types):
+    """The least g over ``types`` at a density, each type's Fraction
+    penalty matrix solved by ``brute_g_value``; the first strict minimum
+    wins.  Returns (value, type, weights)."""
+    best = None
+    solved = {}
+    for t in types:
+        m = m_matrix(t, dens)
+        if m not in solved:
+            solved[m] = brute_g_value(m)
+        val, w = solved[m]
+        if best is None or val < best[0]:
+            best = (val, t, w)
+    return best
+
+
+def brute_dist_upper_f(dens, types):
+    """The least f (the average penalty entry) over ``types`` at a density;
+    the first strict minimum wins.  Returns (value, type)."""
+    best = None
+    for t in types:
+        val = f_value(m_matrix(t, dens))
+        if best is None or val < best[0]:
+            best = (val, t)
+    return best
+
+
+def _reduced_density(family, x):
+    """The density at the reduced variables ``x`` of the family's arity:
+    multicolor p_1..p_{r-1}; directed (p, q), q, q, p or none by palette."""
+    if not family.is_directed:
+        return DensityVector(tuple(x) + (1 - sum(x, Fraction(0)),))
+    kind = family.palette.kind
+    p, q = {
+        "full": lambda: x,
+        "compl": lambda: (1 - 2 * x[0], x[0]),
+        "orien": lambda: (Fraction(0), x[0]),
+        "undir": lambda: (x[0], Fraction(0)),
+        "tourn": lambda: (Fraction(0), Fraction(1, 2)),
+    }[kind]()
+    return DirDensity(p, q, family.palette)
+
+
+def brute_affine_forms(family, types):
+    """f per type as (constant, coefficients) over the reduced density
+    variables, read off f at the origin and half a unit along each variable;
+    distinct forms in type order, then each form that some other form is
+    pointwise no larger than, over the nonnegative domain, dropped."""
+    nvars = (family.r - 1 if not family.is_directed
+             else {"full": 2, "compl": 1, "orien": 1, "undir": 1, "tourn": 0}[family.palette.kind])
+    half = Fraction(1, 2)
+    points = [_reduced_density(family, [half if j == i else Fraction(0) for j in range(nvars)])
+              for i in range(-1, nvars)]
+    forms = {}
+    for t in types:
+        const, *ends = (f_value(m_matrix(t, dens)) for dens in points)
+        forms[(const, tuple(2 * (e - const) for e in ends))] = None
+    out = list(forms)
+    return [(c0, cf) for i, (c0, cf) in enumerate(out)
+            if not any(j != i and d0 <= c0 and all(a <= b for a, b in zip(df, cf))
+                       for j, (d0, df) in enumerate(out))]

@@ -1,0 +1,165 @@
+"""The exact bounds on integer density tables: dist_upper, dist_upper_f and
+the affine forms of f against the Fraction-matrix references in
+tests/oracles.py, and a digest of the bounds recorded before the tables."""
+
+import hashlib
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import edk
+from edk import catalog
+from edk.distance import _affine_forms, dist_upper_f
+from edk.graphs import BIEDGE, FWD, NONEDGE
+from oracles import brute_affine_forms, brute_dist_upper, brute_dist_upper_f
+from test_exact_bounds import CEILING, interior_points, small_families
+
+# Masses with mixed, large denominators; zero is drawn often so that
+# boundary densities, where some colour or pair state has no mass, occur.
+RAW_MASS = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(1, 10 ** 6),
+              st.sampled_from((1, 7, 97, 1000, 1009, 65536, 999983))),
+)
+
+
+@st.composite
+def densities(draw, family):
+    """A density of the family's arity: drawn masses, normalised to sum 1."""
+    if not family.is_directed:
+        raw = draw(st.lists(RAW_MASS, min_size=family.r, max_size=family.r))
+        if not any(raw):
+            raw[draw(st.integers(0, family.r - 1))] = Fraction(1)
+        return edk.DensityVector(tuple(x / sum(raw) for x in raw))
+    codes = family.palette.codes
+    if family.palette.kind == "tourn":
+        return edk.DirDensity(Fraction(0), Fraction(1, 2), family.palette)
+    # masses of no arc, both arcs and the two single arcs together
+    raw = [draw(RAW_MASS) if code in codes else Fraction(0) for code in (NONEDGE, BIEDGE, FWD)]
+    if not any(raw):
+        raw[[NONEDGE, BIEDGE, FWD].index(min(codes))] = Fraction(1)
+    total = sum(raw)
+    return edk.DirDensity(raw[1] / total, raw[2] / (2 * total), family.palette)
+
+
+def _types(family, kmax):
+    """The admissible types at kmax, or at kmax 2 when the guard refuses."""
+    try:
+        return list(edk.enumerate_types(family, kmax, candidate_ceiling=CEILING))
+    except edk.EnumerationGuardError:
+        return list(edk.enumerate_types(family, 2))
+
+
+class TestAgainstFractionMatrices:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_random_families_and_densities(self, data):
+        family, kmax = data.draw(small_families())
+        types = _types(family, kmax)
+        if not types:
+            return
+        assert _affine_forms(family, types) == brute_affine_forms(family, types)
+        for _ in range(3):
+            dens = data.draw(densities(family))
+            bound = edk.dist_upper(family, dens, kmax, types)
+            cert = bound.certificate
+            assert (bound.value, cert.crg_type, cert.weights) == brute_dist_upper(dens, types)
+            edk.check_certificate(family, bound)
+            f_bound = dist_upper_f(family, dens, kmax, types)
+            assert (f_bound.value, f_bound.certificate.crg_type) == brute_dist_upper_f(dens, types)
+
+    def test_catalog_families_at_boundary_densities(self):
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        cases = [
+            (catalog.mono_triangle_family(), 3,
+             [(1, 0, 0), (half, half, 0), (0, third, 2 * third)]),
+            (catalog.rainbow_triangle_family(), 2,
+             [(0, 0, 1), (Fraction(1, 999983), 0, Fraction(999982, 999983))]),
+            (catalog.cyclic_triangle_family("full"), 2,
+             [(0, 0), (1, 0), (0, half), (Fraction(1, 97), Fraction(3, 1009))]),
+            (catalog.both_triangles_family("orien"), 3,
+             [(0, 0), (0, half), (0, Fraction(1, 65536))]),
+            (catalog.cyclic_triangle_family("tourn"), 3, [(0, half)]),
+            (catalog.transitive_triangle_family("compl"), 3,
+             [(1, 0), (0, half), (Fraction(2, 7), Fraction(5, 14))]),
+        ]
+        for family, kmax, points in cases:
+            types = list(edk.enumerate_types(family, kmax))
+            for point in points:
+                if family.is_directed:
+                    dens = edk.DirDensity(Fraction(point[0]), Fraction(point[1]), family.palette)
+                else:
+                    dens = edk.DensityVector(tuple(map(Fraction, point)))
+                bound = edk.dist_upper(family, dens, kmax, types)
+                cert = bound.certificate
+                assert (bound.value, cert.crg_type, cert.weights) == brute_dist_upper(dens, types)
+                f_bound = dist_upper_f(family, dens, kmax, types)
+                assert ((f_bound.value, f_bound.certificate.crg_type)
+                        == brute_dist_upper_f(dens, types))
+            assert _affine_forms(family, types) == brute_affine_forms(family, types)
+
+
+# The six families of the benchmark's bounds workload, with its kmax.
+BOUNDS_FAMILIES = {
+    "qr7": (catalog.qr7_family, 3),
+    "cyclic-full": (lambda: catalog.cyclic_triangle_family("full"), 2),
+    "rainbow": (catalog.rainbow_triangle_family, 3),
+    "mono": (catalog.mono_triangle_family, 3),
+    "both-orien": (lambda: catalog.both_triangles_family("orien"), 4),
+    "two-mono": (catalog.two_mono_triangles_family, 4),
+}
+
+
+def _point(dens):
+    return dens.entries if isinstance(dens, edk.DensityVector) else (dens.p, dens.q)
+
+
+def bounds_results():
+    """Per bounds family: dist_upper (value, type, weights) and dist_upper_f
+    (value, type) at every interior density with denominator 12, then
+    dist_max_upper, the affine forms of f, and distfn_grid at steps 1/4 and
+    1/6."""
+    out = []
+    for name, (make, kmax) in BOUNDS_FAMILIES.items():
+        family = make()
+        types = list(edk.enumerate_types(family, kmax))
+        for dens in interior_points(family, 12):
+            bound = edk.dist_upper(family, dens, kmax, types)
+            cert = bound.certificate
+            out.append(("dist_upper", name, _point(dens), bound.value,
+                        cert.crg_type.encoding(), cert.weights))
+            bound = dist_upper_f(family, dens, kmax, types)
+            out.append(("dist_upper_f", name, _point(dens), bound.value,
+                        bound.certificate.crg_type.encoding()))
+        bound, argmax = edk.dist_max_upper(family, kmax, types)
+        out.append(("dist_max_upper", name, bound.value, _point(argmax),
+                    bound.certificate.crg_type.encoding()))
+        out.append(("affine_forms", name, _affine_forms(family, types)))
+        for step in (Fraction(1, 4), Fraction(1, 6)):
+            rows = edk.distfn_grid(family, kmax, step, types)
+            out.append(("distfn_grid", name, step, [(_point(d), v) for d, v in rows]))
+    return out
+
+
+# Recorded with the Fraction penalty matrix per type: the count and the
+# sha256 of the repr of ``bounds_results()``.
+BOUNDS_GOLDEN = (416, "f673413d91388f58705b1df8a0484f0da701ef7837aa233f7b1cba33d8c49cd2")
+
+
+def test_bounds_golden():
+    results = bounds_results()
+    assert (len(results), hashlib.sha256(repr(results).encode()).hexdigest()) == BOUNDS_GOLDEN
+
+
+def test_types_of_another_arity_are_refused():
+    mono, two_colors = catalog.mono_triangle_family(), catalog.k5_family()
+    dens = edk.DensityVector.uniform(3)
+    types = list(edk.enumerate_types(two_colors, 2))
+    for bound in (edk.dist_upper, dist_upper_f):
+        with pytest.raises(ValueError, match="family's colors"):
+            bound(mono, dens, 2, types)
+    tourn = list(edk.enumerate_types(catalog.cyclic_triangle_family("tourn"), 2))
+    with pytest.raises(ValueError, match="family's colors"):
+        edk.dist_max_upper(catalog.cyclic_triangle_family("orien"), 2, tourn)

@@ -358,3 +358,37 @@ class TestCliErrorKinds:
                      "--p", "1/3,1/3,1/3", "--trials", "1", "--seed", "1"])
         assert code == 1
         assert "need at least two vertices" in capsys.readouterr().err
+
+
+class TestFlagRanges:
+    COMMANDS = {
+        "types": ["types", "--kmax", "1"],
+        "distfn": ["distfn", "--kmax", "1"],
+        "edit": ["edit", "--graph", "{rgraph}", "--type-index", "0", "--kmax", "1",
+                 "--weights", "1", "--seed", "7"],
+        "estimate": ["estimate", "--n", "5", "--p", "1/3,1/3,1/3", "--trials", "1",
+                     "--seed", "1", "--kmax", "1"],
+    }
+
+    @pytest.mark.parametrize("command, flag, value, low", [
+        ("edit", "--type-index", "-1", 0),
+        ("types", "--kmax", "0", 1),
+        ("distfn", "--kmax", "0", 1),
+        ("edit", "--kmax", "0", 1),
+        ("estimate", "--kmax", "-2", 1),
+        ("types", "--ceiling", "0", 1),
+        ("distfn", "--ceiling", "-5", 1),
+    ])
+    def test_below_the_least_value_is_a_usage_error(self, capsys, prop_files, command, flag,
+                                                    value, low):
+        argv = [a.format(rgraph=prop_files["rgraph"]) for a in self.COMMANDS[command]]
+        code = main(argv + ["--property", str(prop_files["rainbow"]), flag, value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"argument {flag}: must be at least {low}, got {value}" in captured.err
+
+    def test_least_values_are_accepted(self, capsys, prop_files):
+        argv = [a.format(rgraph=prop_files["rgraph"]) for a in self.COMMANDS["edit"]]
+        assert main(argv + ["--property", str(prop_files["rainbow"]), "--ceiling", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["member"] is True
