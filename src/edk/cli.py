@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .crg import DirType, dir_mask_codes, enumerate_types, mask_colors
 from .distance import dist_lower_turan, dist_max_upper, dist_upper, distfn_grid
-from .editing import check_weights, edit_by_dirtype, edit_by_type
+from .editing import _random_edit, check_weights
 from .errors import PropertyFormatError, TrivialPropertyError, UsageError
 from .files import format_graph, parse_graph, parse_property
 from .graphs import (
@@ -189,8 +189,7 @@ def _cmd_distfn(args):
 
 def _edit_trial(payload):
     family, graph, k_type, weights, seed = payload
-    editor = edit_by_dirtype if family.is_directed else edit_by_type
-    edited, changes = editor(graph, k_type, weights, seed=seed)
+    edited, changes = _random_edit(graph, k_type, weights, seed)
     return changes, is_member(edited, family)
 
 

@@ -37,7 +37,6 @@ from .graphs import (
     BWD,
     FWD,
     NONEDGE,
-    DiGraph,
     Palette,
     PropertyFamily,
     arcs_acyclic,
@@ -230,8 +229,8 @@ def canonicalize(k_type):
 def _pair_bits(h):
     """``bits[v][u]``: the bit of the pair {u, v}'s color as seen from v, in
     type masks (bit c-1 for color c, bit c for pair code c)."""
-    low = 0 if isinstance(h, DiGraph) else 1
-    return tuple(tuple(1 << (h.color(v, u) - low) if u != v else 0 for u in range(h.n))
+    first = h.first_state
+    return tuple(tuple(1 << (h.color(v, u) - first) if u != v else 0 for u in range(h.n))
                  for v in range(h.n))
 
 
@@ -296,9 +295,15 @@ def embeds(h, k_type) -> bool:
     Inside one class, a directed vertex set holding exactly one arrow accepts
     single arcs either way as long as the class's arcs stay acyclic.
     """
-    if isinstance(h, DiGraph) != (k_type.palette is not None) or getattr(h, "r", 0) != k_type.r:
-        raise ValueError("graph arity does not match the type")
+    check_graph_arity(h, k_type)
     return _fits(h, k_type.table, k_type.arrows)
+
+
+def check_graph_arity(graph, k_type):
+    """Raise ValueError unless the graph has the type's arity and, for a
+    multicolor graph, its color count (``r`` is 0 on both directed sides)."""
+    if graph.r != k_type.r:
+        raise ValueError("graph arity does not match the type")
 
 
 def in_admissible_set(k_type, family: PropertyFamily) -> bool:

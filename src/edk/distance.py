@@ -20,9 +20,9 @@ density: the least common multiple of the density's denominators, and per
 color mask that multiple times one minus the mask's mass.  A type's scaled
 matrix is that table indexed by its mask table, and f depends on a type only
 through its vertex count and how many ordered pairs of its table hold each
-color.  Scaling M by a positive constant changes neither the minimizing
-weights nor the order of the values, so the results are the Fractions the
-per-type matrices would give.  ``m_matrix``, ``f_value``, ``quad_form``,
+color: its shape, counted once per type list.  Scaling M by a positive
+constant changes neither the minimizing weights nor the order of the values,
+so the results are the Fractions the per-type matrices would give.  ``m_matrix``, ``f_value``, ``quad_form``,
 ``UpperCertificate.recompute`` and ``check_certificate`` stay on Fractions:
 ``check_certificate`` re-verifies an upper bound from its certificate alone.
 """
@@ -39,7 +39,7 @@ from fractions import Fraction
 
 from .crg import enumerate_types, in_admissible_set
 from .errors import AsymmetricFamilyError, CertificateError, TrivialPropertyError
-from .graphs import BIEDGE, BWD, FWD, NONEDGE, DensityVector, DirDensity, PropertyFamily
+from .graphs import BIEDGE, BWD, DIR_CODES, FWD, NONEDGE, DensityVector, DirDensity, PropertyFamily
 from .ratlin import simplex_max_lex, solve_int
 from .spectrum import STRONG, WEAK, clique_spectrum
 
@@ -77,16 +77,8 @@ def m_matrix(k_type, dens):
             raise ValueError("density palette does not match the type")
     elif k_type.r != dens.r:
         raise ValueError("density length does not match the type")
-    entry = _mask_entries(_masses(dens)).__getitem__
+    entry = _mask_entries(dens.masses).__getitem__
     return tuple(tuple(map(entry, row)) for row in k_type.table)
-
-
-def _masses(dens):
-    """The density mass of each mask bit: p_c at bit c-1, or the density of
-    pair code c at bit c (each arc direction q)."""
-    if isinstance(dens, DirDensity):
-        return (dens.nonedge, dens.p, dens.q, dens.q)
-    return tuple(dens.entries)
 
 
 @functools.lru_cache(maxsize=16)
@@ -107,12 +99,17 @@ def _scaled_entries(masses):
                         for mask in range(1 << len(masses)))
 
 
-def _color_counts(t, colors):
-    """Per mask bit below ``colors``, the ordered vertex pairs of the type's
-    table, the diagonal included, whose mask holds it."""
-    tally = collections.Counter(itertools.chain.from_iterable(t.table))
-    return tuple(sum(n for mask, n in tally.items() if mask >> bit & 1)
-                 for bit in range(colors))
+def _shapes(family, types):
+    """Per type, in list order, its shape: the vertex count k and, per mask
+    bit, the ordered vertex pairs of its table, the diagonal included, whose
+    mask holds the bit.  f depends on a type through its shape alone."""
+    colors = len(DIR_CODES) if family.is_directed else family.r
+    shapes = []
+    for t in types:
+        tally = collections.Counter(itertools.chain.from_iterable(t.table))
+        shapes.append((t.k, tuple(sum(n for mask, n in tally.items() if mask >> bit & 1)
+                                  for bit in range(colors))))
+    return shapes
 
 
 def quad_form(m, w) -> Fraction:
@@ -203,7 +200,7 @@ def dist_upper(family: PropertyFamily, dens, kmax: int, types=None, **kwargs) ->
     kmax vertices, with the witnessing type and weights."""
     _check_density(family, dens)
     types = _type_list(family, kmax, types, **kwargs)
-    scale, entries = _scaled_entries(_masses(dens))
+    scale, entries = _scaled_entries(dens.masses)
     entry = entries.__getitem__
     best_val = None
     best = None
@@ -260,10 +257,11 @@ def dist_lower_turan(family: PropertyFamily) -> DistBound:
     return DistBound(value, "lower", None, {"chi_strong": chi, "color_classes": classes})
 
 
-def _affine_forms(family, types):
-    """Deduped affine descriptions of f per type, as (constant, coefficients)
-    over the reduced density variables of the arity, with the forms that
-    another form is pointwise no larger than dropped.
+def _affine_forms(family, shapes):
+    """Deduped affine descriptions of f per type shape (see ``_shapes``), as
+    (constant, coefficients) over the reduced density variables of the
+    arity, with the forms that another form is pointwise no larger than
+    dropped.
 
     f = 1 - sum_c counts[c] mass_c / k^2, so one form serves every type
     with the same (k, counts).  Forms are built as integers over the least
@@ -272,8 +270,7 @@ def _affine_forms(family, types):
     dominated ones are dropped.
     """
     directed = family.is_directed
-    shapes = dict.fromkeys((t.k, _color_counts(t, 4 if directed else family.r))
-                           for t in types)
+    shapes = dict.fromkeys(shapes)
     den = math.lcm(*(k * k for k, _ in shapes)) * (2 if directed else 1)
     forms = {}
     for k, counts in shapes:
@@ -359,13 +356,13 @@ def dist_max_upper(family: PropertyFamily, kmax: int, types=None, **kwargs):
     (bound, maximizing density).
     """
     types = _type_list(family, kmax, types, **kwargs)
-    forms = _affine_forms(family, types)
+    shapes = _shapes(family, types)
+    forms = _affine_forms(family, shapes)
     nvars, domain, signs = _lp_setup(family)
 
     if nvars == 0:
         dens = _density_from_vars(family, ())
-        bound = dist_upper_f(family, dens, kmax, types)
-        return bound, dens
+        return _f_bound(dens, kmax, types, shapes), dens
 
     rows = []
     rhs = []
@@ -386,7 +383,7 @@ def dist_max_upper(family: PropertyFamily, kmax: int, types=None, **kwargs):
 
     x, value = simplex_max_lex(rows, rhs, objectives)
     dens = _density_from_vars(family, x[:nvars])
-    bound = dist_upper_f(family, dens, kmax, types)
+    bound = _f_bound(dens, kmax, types, shapes)
     if bound.value != value[0]:
         raise AssertionError("linear program value does not recompute")
     return bound, dens
@@ -397,14 +394,18 @@ def dist_upper_f(family: PropertyFamily, dens, kmax: int, types=None, **kwargs) 
     maximization because f is affine in the densities."""
     _check_density(family, dens)
     types = _type_list(family, kmax, types, **kwargs)
-    masses = _masses(dens)
+    return _f_bound(dens, kmax, types, _shapes(family, types))
+
+
+def _f_bound(dens, kmax, types, shapes):
+    """``dist_upper_f`` over types with the given shapes."""
+    masses = dens.masses
     scale, entries = _scaled_entries(masses)
     mass = [scale - entries[1 << bit] for bit in range(len(masses))]  # scale * mass
     best_val = None
     best = None
     seen = set()
-    for t in types:
-        shape = (t.k, _color_counts(t, len(masses)))
+    for t, shape in zip(types, shapes):
         if shape in seen:  # the f of an earlier type, which cannot win now
             continue
         seen.add(shape)

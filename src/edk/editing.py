@@ -2,38 +2,34 @@
 as editing toward a clique-spectrum tuple's type.
 
 The type-based algorithm assigns each vertex independently to a part, one per
-type vertex, with the given weights, then recolors every pair whose color the
+type vertex, with the given weights, then recolors every pair whose state the
 type does not allow there.  If the type is admissible for a family, the
 result is always a member.  The expected number of recolored pairs is exactly
 w' M w binom(n, 2) at the graph's own densities.
 
-Recoloring picks the smallest allowed color.  In a digraph part whose vertex
-set holds exactly one arc direction, single arcs are instead redirected along
-a random order of the part, which keeps the part acyclic; pairs forced to
-become arcs follow the same order.  The simple edit is the same recoloring
-toward the weak type of a spectrum tuple, on a fixed partition, with the
-vertex order as every part's order.
+One editor serves both arities, reading pair states through the graph's
+``first_state`` (see ``graphs``) and the type's ``table`` and ``arrows``.  A
+pair keeps an allowed state and otherwise takes the smallest allowed one.
+The exception is a digraph part whose vertex set holds exactly one arc
+direction: there single arcs follow a random order of the part, which keeps
+the part acyclic, and a pair that must change takes its smallest allowed
+non-arc state, or the arc along the order when there is none.  The simple
+edit is the same recoloring toward the weak type of a spectrum tuple, on a
+fixed partition, with the vertex order as every part's order.
+``edit_by_type`` and ``edit_by_dirtype`` are the same editing under the two
+arities' names.
 """
 
 from __future__ import annotations
 
 import bisect
 import random
+from dataclasses import replace
 from fractions import Fraction
 
-from .crg import DirType, RType, mask_colors
+from .crg import DirType, RType, check_graph_arity
 from .distance import m_matrix, quad_form
-from .graphs import (
-    ARROW_MASK,
-    BWD,
-    FWD,
-    ColoredGraph,
-    DiGraph,
-    PropertyFamily,
-    pair_count,
-    pairs,
-    rational,
-)
+from .graphs import BWD, FWD, ColoredGraph, DiGraph, PropertyFamily, pair_count, pairs, rational
 from .spectrum import is_weakly_good, spectrum_tuple_type
 
 
@@ -61,90 +57,57 @@ def sample_partition(n, weights, rng) -> tuple:
 
 def edit_by_type(g: ColoredGraph, k_type: RType, weights, seed) -> tuple:
     """Randomly partition, then recolor disallowed pairs.  Returns (graph, changes)."""
-    weights = check_weights(weights, k_type.k)
-    rng = random.Random(seed)
-    parts = sample_partition(g.n, weights, rng)
-    return edit_with_partition(g, k_type, parts)
-
-
-def edit_with_partition(g: ColoredGraph, k_type: RType, parts) -> tuple:
-    if g.r != k_type.r:
-        raise ValueError("color counts differ")
-    colors = list(g.colors)
-    changes = 0
-    for idx, (i, j) in enumerate(pairs(g.n)):
-        allowed = k_type.phi(parts[i], parts[j])
-        if not (1 << (colors[idx] - 1)) & allowed:
-            colors[idx] = mask_colors(allowed)[0]
-            changes += 1
-    return ColoredGraph(g.n, g.r, tuple(colors)), changes
+    return _random_edit(g, k_type, weights, seed)
 
 
 def edit_by_dirtype(g: DiGraph, k_type: DirType, weights, seed) -> tuple:
-    """Directed editing: recolor cross pairs by the type's edge sets and fix
-    parts per their vertex sets, redirecting arcs along a random part order
-    where the set holds a single arc direction."""
+    """:func:`edit_by_type` for a digraph and a directed type: single arcs
+    in a one-arrow part are redirected along a random order of the part."""
+    return _random_edit(g, k_type, weights, seed)
+
+
+def _random_edit(g, k_type, weights, seed) -> tuple:
     weights = check_weights(weights, k_type.k)
     rng = random.Random(seed)
     parts = sample_partition(g.n, weights, rng)
     orders = {}
-    for x in range(k_type.k):
-        if bin(k_type.vertex_sets[x] & ARROW_MASK).count("1") == 1:
-            members = [v for v in range(g.n) if parts[v] == x]
-            ranks = list(range(len(members)))
-            rng.shuffle(ranks)
-            orders[x] = dict(zip(members, ranks))
-    return edit_dir_with_partition(g, k_type, parts, orders)
+    for x in _one_arrow_parts(k_type):
+        members = [v for v in range(g.n) if parts[v] == x]
+        ranks = list(range(len(members)))
+        rng.shuffle(ranks)
+        orders[x] = dict(zip(members, ranks))
+    return edit_with_partition(g, k_type, parts, orders)
 
 
-def edit_dir_with_partition(g: DiGraph, k_type: DirType, parts, orders) -> tuple:
-    """Deterministic core of the directed editing; ``orders`` maps each
-    single-arrow part to a rank per member vertex."""
+def _one_arrow_parts(k_type):
+    """The type vertices whose set holds exactly one arc direction."""
+    return [x for x, vs in enumerate(k_type.vertex_sets) if (vs & k_type.arrows).bit_count() == 1]
+
+
+def edit_with_partition(g, k_type, parts, orders=None) -> tuple:
+    """Deterministic core of the editing: recolor every pair whose state the
+    type does not allow between its ends' parts.  ``orders`` maps each
+    one-arrow part to a rank per member vertex; without it, every such part
+    follows the vertex order.  Returns (graph, changes)."""
+    check_graph_arity(g, k_type)
+    table, arrows, first = k_type.table, k_type.arrows, g.first_state
+    one_arrow = set(_one_arrow_parts(k_type))
     colors = list(g.colors)
     changes = 0
     for idx, (i, j) in enumerate(pairs(g.n)):
-        x, y = parts[i], parts[j]
-        old = colors[idx]
-        if x != y:
-            allowed = k_type.phi(x, y)  # oriented as (i, j)
-            if not (1 << old) & allowed:
-                colors[idx] = _smallest_code(allowed)
-                changes += 1
-            continue
-        vs = k_type.vertex_sets[x]
-        arrows = vs & ARROW_MASK
-        if old in (FWD, BWD):
-            if arrows == ARROW_MASK:
-                continue
-            if arrows:
-                forward = orders[x][i] < orders[x][j]
-                want = FWD if forward else BWD
-                if old != want:
-                    colors[idx] = want
-                    changes += 1
-            else:
-                colors[idx] = _smallest_code(vs)
-                changes += 1
-        else:
-            if (1 << old) & vs:
-                continue
-            if vs & ~ARROW_MASK:
-                colors[idx] = _smallest_code(vs & ~ARROW_MASK)
-            elif arrows == ARROW_MASK:
-                colors[idx] = FWD
-            else:
-                # the only allowed state is a single arc: follow the order
-                colors[idx] = FWD if orders[x][i] < orders[x][j] else BWD
+        x = parts[i]
+        allowed = table[x][parts[j]]
+        bit = 1 << (colors[idx] - first)
+        if x == parts[j] and x in one_arrow and (bit & arrows or not allowed & ~arrows):
+            # a single arc, or a pair whose one allowed state is an arc,
+            # follows the part's order (other pairs take non-arc codes,
+            # which come first)
+            ahead = orders is None or orders[x][i] < orders[x][j]
+            allowed = 1 << ((FWD if ahead else BWD) - first)
+        if not bit & allowed:
+            colors[idx] = (allowed & -allowed).bit_length() - 1 + first
             changes += 1
-    return DiGraph(g.n, tuple(colors)), changes
-
-
-def _smallest_code(mask):
-    code = 0
-    while not mask & 1:
-        mask >>= 1
-        code += 1
-    return code
+    return replace(g, colors=tuple(colors)), changes
 
 
 def balanced_partition(n, sizes_count):
@@ -181,10 +144,7 @@ def simple_edit(g, family: PropertyFamily, spectrum_tuple, equipartition=True, s
             raise ValueError("random partition needs a seed")
         rng = random.Random(seed)
         parts = tuple(rng.randrange(total) for _ in range(g.n))
-    k_type = spectrum_tuple_type(family, t)
-    if family.is_directed:
-        return edit_dir_with_partition(g, k_type, parts, dict.fromkeys(range(total), range(g.n)))
-    return edit_with_partition(g, k_type, parts)
+    return edit_with_partition(g, spectrum_tuple_type(family, t), parts)
 
 
 def expected_changes(k_type, weights, dens, n) -> Fraction:

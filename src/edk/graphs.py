@@ -10,6 +10,14 @@ single arc in either direction.  Both kinds store one color code per pair
 ``{i, j}`` with ``i < j``; for digraphs the single-arc codes are read relative
 to that order, which makes the required symmetries hold by construction.
 
+Pair states are the colors 1..r or the codes 0..3, and in color-set masks
+state c sits at bit ``c - first_state``: bit c-1 for a color, bit c for a
+pair code.  Each graph class carries its ``first_state``, and ``DiGraph``
+carries ``r = 0``, so that code reading states works for both arities
+without testing classes.  A family lists the states its members may use in
+``states``, and a density gives each state's mass in bit order in
+``masses``.
+
 Induced copies are found by one matcher over neighborhood bitmasks (Python
 ints, one per vertex and color, built in one pass over the pairs).  It maps
 the small graph's vertices in order and tries candidates lowest vertex first,
@@ -157,6 +165,8 @@ class ColoredGraph:
     r: int
     colors: tuple
 
+    first_state = 1
+
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("vertex count must be nonnegative")
@@ -205,6 +215,9 @@ class DiGraph:
 
     n: int
     colors: tuple
+
+    first_state = NONEDGE
+    r = 0
 
     def __post_init__(self):
         if self.n < 0:
@@ -325,6 +338,16 @@ class DensityVector:
     def __iter__(self):
         return iter(self.entries)
 
+    @property
+    def masses(self):
+        """Each color's density, in mask-bit order."""
+        return tuple(self.entries)
+
+    def graph(self, n, bits):
+        """The graph on ``n`` vertices whose pairs, in pair order, carry the
+        colors at the mask bits ``bits``."""
+        return ColoredGraph(n, self.r, tuple(b + ColoredGraph.first_state for b in bits))
+
 
 @dataclass(frozen=True)
 class DirDensity:
@@ -364,6 +387,16 @@ class DirDensity:
     @property
     def nonedge(self):
         return 1 - self.p - 2 * self.q
+
+    @property
+    def masses(self):
+        """Each pair code's density, in mask-bit order (each arc direction q)."""
+        return (self.nonedge, self.p, self.q, self.q)
+
+    def graph(self, n, bits):
+        """The digraph on ``n`` vertices whose pairs, in pair order, carry the
+        codes at the mask bits ``bits``."""
+        return DiGraph(n, tuple(bits))
 
     def by_code(self):
         """Densities indexed by pair code."""
@@ -419,6 +452,11 @@ class PropertyFamily:
         return min(h.n for h in self.forbidden)
 
     @property
+    def states(self) -> tuple:
+        """The pair states a member may use, in mask-bit order."""
+        return self.palette.sorted_codes() if self.is_directed else tuple(range(1, self.r + 1))
+
+    @property
     def full_mask(self) -> int:
         """Bitmask of every color (bit c-1) or palette pair state (bit c)."""
         return self.palette.mask if self.is_directed else (1 << self.r) - 1
@@ -439,13 +477,8 @@ class PropertyFamily:
 
 
 def _check_same_arity(g, h):
-    if isinstance(g, ColoredGraph) and isinstance(h, ColoredGraph):
-        if g.r != h.r:
-            raise ValueError("color counts differ")
-        return False
-    if isinstance(g, DiGraph) and isinstance(h, DiGraph):
-        return True
-    raise ValueError("graphs are of different kinds")
+    if g.r != h.r:
+        raise ValueError("color counts differ" if g.r and h.r else "graphs are of different kinds")
 
 
 def induced(graph, subset):

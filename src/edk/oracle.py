@@ -1,6 +1,12 @@
 """Ground truth at desk scale: exact edit distance by branch and bound,
 seeded random graph samplers, and Monte Carlo estimation.
 
+Both arities share one path: the search branches over the family's
+``states``, the sampler draws each pair's state from the density's
+``masses`` (see ``graphs``), and the estimate edits by the one editor of
+``editing``.  ``sample_rgraph`` and ``sample_digraph`` are the same sampler
+under the two arities' names.
+
 The exact search finds one induced forbidden copy, then branches on giving
 each of its pairs each different allowed color; some pair of any copy must
 change in every solution, so the search is complete.  Branched pairs freeze
@@ -22,11 +28,11 @@ import itertools
 import os
 import random
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .distance import dist_upper
-from .editing import edit_by_dirtype, edit_by_type, sample_partition
+from .editing import _random_edit, sample_partition
 from .errors import SizeGuardError, UsageError
 from .graphs import (
     ColoredGraph,
@@ -92,11 +98,7 @@ def exact_dist(graph, family: PropertyFamily, max_n=None):
         raise SizeGuardError(
             f"exact search guarded at n <= {limit}; pass max_n or set {GUARD_ENV} to override"
         )
-    if family.is_directed:
-        alphabet = family.palette.sorted_codes()
-    else:
-        alphabet = tuple(range(1, family.r + 1))
-
+    alphabet = family.states
     colors = list(graph.colors)
     frozen = [False] * len(colors)
     best = {"cost": None, "colors": None}
@@ -134,28 +136,24 @@ def exact_dist(graph, family: PropertyFamily, max_n=None):
     search(0)
     if best["cost"] is None:
         raise ValueError("no member exists on this vertex count")
-    if family.is_directed:
-        witness = DiGraph(graph.n, best["colors"])
-    else:
-        witness = ColoredGraph(graph.n, graph.r, best["colors"])
-    return best["cost"], witness
+    return best["cost"], replace(graph, colors=best["colors"])
 
 
 def sample_rgraph(n, p: DensityVector, seed) -> ColoredGraph:
     """Each pair colored independently by the density vector; seeded."""
-    if n < 1:
-        raise ValueError("need at least one vertex")
-    draws = sample_partition(pair_count(n), p.entries, random.Random(seed))
-    return ColoredGraph(n, p.r, tuple(i + 1 for i in draws))
+    return _sample(n, p, seed)
 
 
 def sample_digraph(n, d: DirDensity, seed) -> DiGraph:
     """Pairs drawn independently: no-arc, two-way, forward, backward with
     probabilities (1-p-2q, p, q, q)."""
+    return _sample(n, d, seed)
+
+
+def _sample(n, dens, seed):
     if n < 1:
         raise ValueError("need at least one vertex")
-    weights = (d.nonedge, d.p, d.q, d.q)
-    return DiGraph(n, sample_partition(pair_count(n), weights, random.Random(seed)))
+    return dens.graph(n, sample_partition(pair_count(n), dens.masses, random.Random(seed)))
 
 
 def derive_seed(seed, index) -> int:
@@ -175,20 +173,13 @@ class EstimateStats:
 
 
 def _one_estimate(args):
-    n, dens, family, mode, kmax, max_n, certificate, seed = args
-    if family.is_directed:
-        g = sample_digraph(n, dens, seed)
-    else:
-        g = sample_rgraph(n, dens, seed)
+    n, dens, family, mode, max_n, certificate, seed = args
+    g = _sample(n, dens, seed)
     if mode == "exact":
         edits, _ = exact_dist(g, family, max_n=max_n)
-        return Fraction(edits, pair_count(n))
-    k_type, weights = certificate
-    if family.is_directed:
-        _, changes = edit_by_dirtype(g, k_type, weights, seed)
     else:
-        _, changes = edit_by_type(g, k_type, weights, seed)
-    return Fraction(changes, pair_count(n))
+        _, edits = _random_edit(g, *certificate, seed)
+    return Fraction(edits, pair_count(n))
 
 
 def estimate_dist(n, dens, family: PropertyFamily, trials, seed,
@@ -211,7 +202,7 @@ def estimate_dist(n, dens, family: PropertyFamily, trials, seed,
         bound = dist_upper(family, dens, kmax)
         certificate = (bound.certificate.crg_type, bound.certificate.weights)
     jobs = [
-        (n, dens, family, mode, kmax, max_n, certificate, derive_seed(seed, i))
+        (n, dens, family, mode, max_n, certificate, derive_seed(seed, i))
         for i in range(trials)
     ]
     values = tuple(map_fn(_one_estimate, jobs))

@@ -16,7 +16,7 @@ from scipy.optimize import minimize
 from edk.crg import DirType, RType, canonical_key, in_admissible_set
 from edk.distance import f_value, m_matrix, quad_form
 from edk.errors import EnumerationGuardError
-from edk.graphs import FWD, ColoredGraph, DensityVector, DiGraph, DirDensity, pair_count
+from edk.graphs import BWD, FWD, ColoredGraph, DensityVector, DiGraph, DirDensity, pair_count
 
 
 def brute_contains_induced(big, small) -> bool:
@@ -128,6 +128,54 @@ def brute_embeds_dir(h, k_type) -> bool:
 
 def _tri_index(k, i, j):
     return i * (2 * k - i - 1) // 2 + (j - i - 1)
+
+
+def brute_edit(g, k_type, parts, orders=None):
+    """The editing rule, read off the type's vertex and edge sets: a pair
+    keeps an allowed state and otherwise takes the smallest allowed one.
+    Inside a digraph part whose vertex set holds exactly one arc direction,
+    a single arc becomes the arc along the part's order (``orders[x]``, or
+    the vertex order without it), and another state that must change takes
+    the smallest allowed non-arc state, or that arc when there is none.
+    Returns (graph, changes)."""
+    directed = isinstance(g, DiGraph)
+    if directed:
+        states, first = (0, 1, FWD, BWD), 0
+    else:
+        states, first = tuple(range(1, g.r + 1)), 1
+    swap = {FWD: BWD, BWD: FWD}
+
+    def held(x, y):
+        if x == y:
+            mask = k_type.vertex_sets[x]
+        else:
+            mask = k_type.edge_sets[_tri_index(k_type.k, min(x, y), max(x, y))]
+        out = {c for c in states if mask >> (c - first) & 1}
+        if directed and x > y:  # the set is stored as seen from (y, x)
+            out = {swap.get(c, c) for c in out}
+        return out
+
+    colors = []
+    for i, j in itertools.combinations(range(g.n), 2):
+        x, y = parts[i], parts[j]
+        allowed = held(x, y)
+        old = g.color(i, j)
+        if directed and x == y and len(allowed & {FWD, BWD}) == 1:
+            arc = FWD if orders is None or orders[x][i] < orders[x][j] else BWD
+            others = sorted(allowed - {FWD, BWD})
+            if old in (FWD, BWD):
+                new = arc
+            elif old in allowed:
+                new = old
+            else:
+                new = others[0] if others else arc
+        else:
+            new = old if old in allowed else min(allowed)
+        colors.append(new)
+    changes = sum(1 for a, b in zip(g.colors, colors) if a != b)
+    if directed:
+        return DiGraph(g.n, tuple(colors)), changes
+    return ColoredGraph(g.n, g.r, tuple(colors)), changes
 
 
 def brute_is_good(t, family, strong) -> bool:

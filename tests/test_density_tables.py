@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import edk
 from edk import catalog
-from edk.distance import _affine_forms, dist_upper_f
+from edk.distance import _affine_forms, _shapes, dist_upper_f
 from edk.graphs import BIEDGE, FWD, NONEDGE
 from oracles import brute_affine_forms, brute_dist_upper, brute_dist_upper_f
 from test_exact_bounds import CEILING, interior_points, small_families
@@ -60,7 +60,7 @@ class TestAgainstFractionMatrices:
         types = _types(family, kmax)
         if not types:
             return
-        assert _affine_forms(family, types) == brute_affine_forms(family, types)
+        assert _affine_forms(family, _shapes(family, types)) == brute_affine_forms(family, types)
         for _ in range(3):
             dens = data.draw(densities(family))
             bound = edk.dist_upper(family, dens, kmax, types)
@@ -98,7 +98,8 @@ class TestAgainstFractionMatrices:
                 f_bound = dist_upper_f(family, dens, kmax, types)
                 assert ((f_bound.value, f_bound.certificate.crg_type)
                         == brute_dist_upper_f(dens, types))
-            assert _affine_forms(family, types) == brute_affine_forms(family, types)
+            assert (_affine_forms(family, _shapes(family, types))
+                    == brute_affine_forms(family, types))
 
 
 # The six families of the benchmark's bounds workload, with its kmax.
@@ -136,7 +137,7 @@ def bounds_results():
         bound, argmax = edk.dist_max_upper(family, kmax, types)
         out.append(("dist_max_upper", name, bound.value, _point(argmax),
                     bound.certificate.crg_type.encoding()))
-        out.append(("affine_forms", name, _affine_forms(family, types)))
+        out.append(("affine_forms", name, _affine_forms(family, _shapes(family, types))))
         for step in (Fraction(1, 4), Fraction(1, 6)):
             rows = edk.distfn_grid(family, kmax, step, types)
             out.append(("distfn_grid", name, step, [(_point(d), v) for d, v in rows]))

@@ -284,7 +284,7 @@ class TestGrid:
 class TestAffineForms:
     def test_forms_evaluate_to_f(self):
         # the linear program's affine descriptions must reproduce f exactly
-        from edk.distance import _affine_forms, m_matrix
+        from edk.distance import _affine_forms, _shapes, m_matrix
 
         rng = random.Random(77)
         fam = mono_triangle_family()
@@ -295,7 +295,7 @@ class TestAffineForms:
                 tuple(rng.randint(1, 6) for _ in range(k)),
                 tuple(rng.randint(1, 7) for _ in range(pair_count(k))),
             )
-            ((c0, cf),) = _affine_forms(fam, [t])
+            ((c0, cf),) = _affine_forms(fam, _shapes(fam, [t]))
             parts = [rng.randint(0, 6) for _ in range(3)]
             if sum(parts) == 0:
                 continue
@@ -305,7 +305,7 @@ class TestAffineForms:
 
     def test_directed_forms_evaluate_to_f(self):
         from edk.catalog import transitive_tournament
-        from edk.distance import _affine_forms, m_matrix
+        from edk.distance import _affine_forms, _shapes, m_matrix
         from edk.graphs import DiGraph
 
         rng = random.Random(78)
@@ -329,7 +329,7 @@ class TestAffineForms:
                     tuple(rng.choice(vchoices) for _ in range(k)),
                     tuple(rng.choice(echoices) for _ in range(pair_count(k))),
                 )
-                ((c0, cf),) = _affine_forms(fam, [t])
+                ((c0, cf),) = _affine_forms(fam, _shapes(fam, [t]))
                 for dens in dens_list:
                     if kind == "full":
                         y = (dens.p, dens.q)
