@@ -52,22 +52,24 @@ def _density_list(dens):
     return [_frac(dens.p), _frac(dens.q)]
 
 
-def _rationals(text: str, flag: str):
-    """The comma-separated rationals of a flag's value; a malformed entry is
-    a usage error naming the flag."""
+def _rationals(text: str, flag: str, count=None):
+    """The comma-separated rationals of a flag's value; a malformed entry,
+    or a number of entries other than ``count`` when given, is a usage error
+    naming the flag."""
     try:
-        return [rational(part.strip()) for part in text.split(",")]
+        values = [rational(part.strip()) for part in text.split(",")]
     except ValueError as exc:
         raise UsageError(f"{flag}: {exc}") from None
+    if count is not None and len(values) != count:
+        raise UsageError(f"{flag}: expected {count} comma-separated rationals, got {len(values)}")
+    return values
 
 
 def _parse_density(family: PropertyFamily, text: str):
-    parts = _rationals(text, "--p")
     if family.is_directed:
-        if len(parts) != 2:
-            raise ValueError("directed densities are given as 'p,q'")
-        return DirDensity(parts[0], parts[1], family.palette)
-    return DensityVector(tuple(parts))
+        p, q = _rationals(text, "--p", 2)
+        return DirDensity(p, q, family.palette)
+    return DensityVector(tuple(_rationals(text, "--p", family.r)))
 
 
 def _set_token(mask, directed) -> str:
@@ -259,7 +261,7 @@ def _cmd_sample(args):
     else:
         pal = args.palette or "tourn"
         if args.dens is not None:
-            p, q = _rationals(args.dens, "--dens")
+            p, q = _rationals(args.dens, "--dens", 2)
         elif pal == "tourn":
             p, q = Fraction(0), Fraction(1, 2)
         else:
@@ -418,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 # The least accepted value of each integer flag, on every subcommand that
 # takes it.
-_FLAG_MINIMUMS = {"trials": 1, "jobs": 1, "kmax": 1, "ceiling": 1, "type_index": 0}
+_FLAG_MINIMUMS = {"trials": 1, "jobs": 1, "kmax": 1, "ceiling": 1, "type_index": 0, "max_n": 1}
 
 
 def _check_flag_ranges(args):

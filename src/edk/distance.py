@@ -7,13 +7,27 @@ w' M w over the probability simplex.  Minimizing g over admissible types
 bounds the edit distance function from above; Turan-style counting bounds it
 from below.
 
-g is computed by support enumeration: on the support of a minimizer the
-gradient is constant, so solving the stationarity system for every support
-and keeping the nonnegative candidates is exact even though M is usually
-indefinite.  Supports whose system is singular are skipped; their minima
-reappear on smaller supports.  Each system is solved in integers by
+``g_value`` computes g by support enumeration: on the support of a
+minimizer the gradient is constant, so solving the stationarity system for
+every support and keeping the nonnegative candidates is exact even though M
+is usually indefinite.  Supports whose system is singular are skipped; their
+minima reappear on smaller supports.  Each system is solved in integers by
 fraction-free elimination, so only the winning weights and value become
 Fractions.
+
+``dist_upper`` solves one system per type: its full support (the p-core
+reduction of Marchant and Thomason, and of Martin).  It skips a type whose
+system is singular or has a weight of zero or below.  This is exact on a
+type list closed under sub-types up to isomorphism, as every list
+``enumerate_types`` yields is, because a sub-type has fewer vertices and so
+comes earlier.  A type whose g is reached on a smaller support ties its
+sub-type on that support, which comes first.  So the type of the first
+strict minimum over the list reaches its g only on its full support, with
+all weights positive, and its system is nonsingular: a singular one would
+give a line of minimizers running to a smaller support.  Every other type's
+full-support value is at least its g, so it cannot take the minimum's
+place.  On a list that is not closed the result is still a certified upper
+bound, but it may exceed the least g over the list.
 
 The bounds read every type at a density through one integer table per
 density: the least common multiple of the density's denominators, and per
@@ -137,35 +151,46 @@ def g_value(m):
     the first strict minimum wins.
     """
     scale = math.lcm(*(e.denominator for row in m for e in row))
-    return _g_scaled([[e.numerator * (scale // e.denominator) for e in row] for row in m], scale)
-
-
-def _g_scaled(a, scale):
-    """``g_value`` of the matrix a / scale, for an integer matrix ``a`` and a
-    positive integer ``scale``."""
+    a = [[e.numerator * (scale // e.denominator) for e in row] for row in m]
     k = len(a)
-    best = None  # (lambda numerator, det, support, weight numerators)
+    best_support = best = None  # best: (lambda numerator, det, weight numerators)
     for mask in range(1, 1 << k):
         support = [i for i in range(k) if mask >> i & 1]
-        s = len(support)
         rows = [[a[i][j] for j in support] for i in support]
         # w' M w on the support is at least its least entry: skip when that cannot win
         if best is not None and min(map(min, rows)) * best[1] >= best[0]:
             continue
-        # stationarity on the support: (scale M) w - lambda 1 = 0, sum w = 1
-        for row in rows:
-            row += (-1, 0)
-        rows.append([1] * s + [0, 1])
-        sol = solve_int(rows)
-        if sol is None:
+        sol = _stationary(rows)
+        if sol is None or any(v < 0 for v in sol[2]):
             continue
-        det, nums = sol
-        if any(v < 0 for v in nums[:s]):
-            continue
-        # the value w' M w is lambda / scale; compare lambda = nums[s] / det
-        if best is None or nums[s] * best[1] < best[0] * det:
-            best = (nums[s], det, support, nums[:s])
-    lam, det, support, nums = best
+        # the value w' M w is lambda / scale; compare lambda = sol[0] / sol[1]
+        if best is None or sol[0] * best[1] < best[0] * sol[1]:
+            best_support, best = support, sol
+    return _g_result(k, scale, best_support, best)
+
+
+def _stationary(rows):
+    """The stationary point of w' A w on the plane where the weights sum to
+    one, for a square integer matrix A given by its rows: the w at which
+    (A w) is a constant lambda.  Returns (lambda numerator, det, weight
+    numerators), all over det > 0, or None when the system is singular.
+    Weights may come out negative; callers decide what they accept."""
+    s = len(rows)
+    # A w - lambda 1 = 0, sum w = 1
+    system = [[*row, -1, 0] for row in rows]
+    system.append([1] * s + [0, 1])
+    sol = solve_int(system)
+    if sol is None:
+        return None
+    det, nums = sol
+    return nums[s], det, nums[:s]
+
+
+def _g_result(k, scale, support, sol):
+    """(value, weights) as Fractions from a ``_stationary`` solution on a
+    support of the k-vertex matrix A / scale; weights off the support are
+    zero."""
+    lam, det, nums = sol
     w = [ZERO] * k
     for i, v in zip(support, nums):
         w[i] = Fraction(v, det)
@@ -183,7 +208,12 @@ def _check_density(family, dens):
 
 def _type_list(family, kmax, types, **kwargs):
     """The family's types at kmax, or the given list, whose first type must
-    have the family's arity: the integer tables do not check each type."""
+    have the family's arity: the integer tables do not check each type.
+
+    A given list must be closed under sub-types up to isomorphism, as every
+    list ``enumerate_types`` yields is; closure is not checked.  On a list
+    that is not closed ``dist_upper`` still returns a certified upper bound,
+    but it may exceed the least g over the list."""
     if types is None:
         types = list(enumerate_types(family, kmax, **kwargs))
     if not types:
@@ -197,7 +227,13 @@ def _type_list(family, kmax, types, **kwargs):
 
 def dist_upper(family: PropertyFamily, dens, kmax: int, types=None, **kwargs) -> DistBound:
     """Certified upper bound: the least g over admissible types of at most
-    kmax vertices, with the witnessing type and weights."""
+    kmax vertices, with the witnessing type and weights.
+
+    Each type's system is solved on its full support only, which is exact
+    when ``types`` is closed under sub-types up to isomorphism (see the
+    module docstring), as it is when left to ``enumerate_types``.  On a list
+    that is not closed the bound is still certified, but it may exceed the
+    least g over the list."""
     _check_density(family, dens)
     types = _type_list(family, kmax, types, **kwargs)
     scale, entries = _scaled_entries(dens.masses)
@@ -208,16 +244,22 @@ def dist_upper(family: PropertyFamily, dens, kmax: int, types=None, **kwargs) ->
     for t in types:
         a = tuple(map(entry, itertools.chain.from_iterable(t.table)))  # scale * M, flat
         if a in solved:
-            val, w = solved[a]
+            found = solved[a]
         else:
             # w' M w is at least the least entry of M: skip when that cannot win
             if best_val is not None and min(a) * best_val.denominator >= best_val.numerator * scale:
                 continue
             k = t.k
-            val, w = solved[a] = _g_scaled([a[i:i + k] for i in range(0, k * k, k)], scale)
-        if best_val is None or val < best_val:
-            best_val = val
+            sol = _stationary([a[i:i + k] for i in range(0, k * k, k)])
+            # a zero weight ties the sub-type without that vertex, which comes earlier
+            found = solved[a] = (None if sol is None or min(sol[2]) <= 0
+                                 else _g_result(k, scale, range(k), sol))
+        if found is not None and (best_val is None or found[0] < best_val):
+            best_val, w = found
             best = UpperCertificate(t, w, dens)
+    if best is None:
+        raise ValueError("no type has a full-support solution with positive weights: "
+                         "the type list is not closed under sub-types")
     return DistBound(best_val, "upper", kmax, best)
 
 
@@ -468,7 +510,10 @@ def _grid_points(family, step: Fraction):
 
 
 def distfn_grid(family: PropertyFamily, kmax: int, step, types=None, **kwargs):
-    """Tabulate dist_upper over a rational grid; returns (density, value) rows."""
+    """Tabulate dist_upper over a rational grid; returns (density, value) rows.
+
+    A given ``types`` list must be closed under sub-types up to isomorphism,
+    as for ``dist_upper``."""
     step = Fraction(step)
     types = _type_list(family, kmax, types, **kwargs)
     rows = []

@@ -56,9 +56,12 @@ def size_guard(family: PropertyFamily) -> int:
     env = os.environ.get(GUARD_ENV)
     if env:
         try:
-            return int(env)
+            limit = int(env)
         except ValueError:
             raise UsageError(f"{GUARD_ENV} must be an integer, got {env!r}") from None
+        if limit < 1:
+            raise UsageError(f"{GUARD_ENV} must be at least 1, got {limit}")
+        return limit
     return DEFAULT_GUARD_DIRECTED if family.is_directed else DEFAULT_GUARD_MULTICOLOR
 
 

@@ -102,6 +102,65 @@ class TestAgainstFractionMatrices:
                     == brute_affine_forms(family, types))
 
 
+def _least_g(dens, types):
+    """The least g over ``types``: ``g_value`` of each type's Fraction
+    penalty matrix, skipping a type whose least entry, a lower bound on its
+    g, cannot beat the least so far."""
+    least = None
+    for t in types:
+        m = edk.m_matrix(t, dens)
+        if least is None or min(map(min, m)) < least:
+            value = edk.g_value(m)[0]
+            least = value if least is None else min(least, value)
+    return least
+
+
+class TestFullSupport:
+    """dist_upper solves each type on its full support only, which is exact
+    on a type list closed under sub-types (the p-core reduction)."""
+
+    # That the result equals brute_dist_upper on these lists is
+    # TestAgainstFractionMatrices.test_random_families_and_densities.
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_the_winner_is_a_p_core_type(self, data):
+        family, kmax = data.draw(small_families())
+        types = _types(family, kmax)
+        if not types:
+            return
+        for _ in range(3):
+            dens = data.draw(densities(family))
+            bound = edk.dist_upper(family, dens, kmax, types)
+            cert = bound.certificate
+            assert all(w > 0 for w in cert.weights)
+            first = types.index(cert.crg_type)
+            if first:  # no earlier type reaches the value
+                assert brute_dist_upper(dens, types[:first])[0] > bound.value
+
+    def test_a_list_not_closed_under_sub_types_still_gives_a_certified_bound(self):
+        family = catalog.mono_triangle_family()
+        types = list(edk.enumerate_types(family, 3))
+        triples = [t for t in types if t.k == 3]
+        points = interior_points(family, 12)[:30]
+        assert len(points) == 30
+        for i, dens in enumerate(points):
+            bound = edk.dist_upper(family, dens, 3, triples)
+            edk.check_certificate(family, bound)
+            assert bound.value >= _least_g(dens, triples)
+            if i % 15 == 0:  # the bounds golden below covers every point
+                bound = edk.dist_upper(family, dens, 3, types)
+                cert = bound.certificate
+                assert (bound.value, cert.crg_type, cert.weights) == brute_dist_upper(dens, types)
+
+    def test_a_list_without_a_full_support_solution_is_refused(self):
+        # a constant penalty matrix: the system is singular, and the minimum
+        # is on the one-vertex sub-type the list leaves out
+        family = catalog.mono_triangle_family()
+        dens = edk.DensityVector.of(Fraction(1, 12), Fraction(1, 12), Fraction(5, 6))
+        with pytest.raises(ValueError, match="not closed under sub-types"):
+            edk.dist_upper(family, dens, 2, [edk.RType(3, (2, 2), (2,))])
+
+
 # The six families of the benchmark's bounds workload, with its kmax.
 BOUNDS_FAMILIES = {
     "qr7": (catalog.qr7_family, 3),

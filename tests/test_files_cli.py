@@ -7,6 +7,7 @@ import pytest
 import edk
 from edk.catalog import k5_two_cycles, quadratic_residue_tournament
 from edk.cli import main
+from edk.oracle import size_guard
 from edk.files import format_graph, format_property
 
 
@@ -326,6 +327,45 @@ class TestCliErrorKinds:
                      "--dens", "0,1/0"]) == 2
         assert "--dens: '1/0' has a zero denominator" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, prop, flag, count, got", [
+        (["sample", "--n", "3", "--seed", "1", "--palette", "full", "--dens", "1/2"],
+         None, "--dens", 2, 1),
+        (["distfn", "--kmax", "1", "--p", "1/2,1/2"], "rainbow", "--p", 3, 2),
+        (["distfn", "--kmax", "1", "--p", "1/4,1/4,1/4,1/4"], "rainbow", "--p", 3, 4),
+        (["distfn", "--kmax", "1", "--p", "1/2"], "ctri", "--p", 2, 1),
+        (["estimate", "--n", "5", "--p", "1/2,1/2", "--trials", "1", "--seed", "1"],
+         "rainbow", "--p", 3, 2),
+        (["estimate", "--n", "5", "--p", "0,1/2,0", "--trials", "1", "--seed", "1"],
+         "ctri", "--p", 2, 3),
+    ])
+    def test_density_with_the_wrong_count_names_the_flag(self, capsys, prop_files, command,
+                                                         prop, flag, count, got):
+        argv = command + (["--property", str(prop_files[prop])] if prop else [])
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"{flag}: expected {count} comma-separated rationals, got {got}" in captured.err
+
+    def test_density_that_does_not_sum_to_one_stays_a_domain_error(self, capsys, prop_files):
+        code = main(["distfn", "--property", str(prop_files["rainbow"]), "--kmax", "1",
+                     "--p", "1/2,1/3,0"])
+        assert code == 1
+        assert "densities sum to 5/6" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_guard_variable_below_one_is_a_usage_error(self, capsys, prop_files, monkeypatch,
+                                                       value):
+        monkeypatch.setenv("EDK_GUARD_N", value)
+        code = main(["oracle", "--property", str(prop_files["rainbow"]),
+                     "--graph", str(prop_files["rgraph"])])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"EDK_GUARD_N must be at least 1, got {value}" in captured.err
+        with pytest.raises(edk.UsageError, match="EDK_GUARD_N"):
+            size_guard(edk.catalog.rainbow_triangle_family())
+
     def test_internal_errors_exit_3_with_a_traceback(self, capsys, prop_files, monkeypatch):
         import edk.cli
 
@@ -368,6 +408,7 @@ class TestFlagRanges:
                  "--weights", "1", "--seed", "7"],
         "estimate": ["estimate", "--n", "5", "--p", "1/3,1/3,1/3", "--trials", "1",
                      "--seed", "1", "--kmax", "1"],
+        "oracle": ["oracle", "--graph", "{rgraph}"],
     }
 
     @pytest.mark.parametrize("command, flag, value, low", [
@@ -378,6 +419,9 @@ class TestFlagRanges:
         ("estimate", "--kmax", "-2", 1),
         ("types", "--ceiling", "0", 1),
         ("distfn", "--ceiling", "-5", 1),
+        ("estimate", "--max-n", "-1", 1),
+        ("estimate", "--max-n", "0", 1),
+        ("oracle", "--max-n", "0", 1),
     ])
     def test_below_the_least_value_is_a_usage_error(self, capsys, prop_files, command, flag,
                                                     value, low):
@@ -392,3 +436,6 @@ class TestFlagRanges:
         argv = [a.format(rgraph=prop_files["rgraph"]) for a in self.COMMANDS["edit"]]
         assert main(argv + ["--property", str(prop_files["rainbow"]), "--ceiling", "1"]) == 0
         assert json.loads(capsys.readouterr().out)["member"] is True
+        argv = [a.format(rgraph=prop_files["rgraph"]) for a in self.COMMANDS["estimate"]]
+        assert main(argv + ["--property", str(prop_files["rainbow"]), "--max-n", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["mode"] == "algorithmic"
