@@ -255,7 +255,16 @@ def _cmd_oracle(args):
 
 def _cmd_sample(args):
     if args.p is not None:
-        dens = DensityVector(tuple(_rationals(args.p, "--p")))
+        directed = [flag for flag, value in (("--palette", args.palette), ("--dens", args.dens))
+                    if value is not None]
+        if directed:
+            raise UsageError(f"--p samples a multicolor graph; it cannot go with "
+                             f"{' and '.join(directed)}, which sample a digraph")
+        values = _rationals(args.p, "--p")
+        if len(values) < 2:
+            raise UsageError(f"--p: expected at least 2 comma-separated rationals (one per "
+                             f"color), got {len(values)}")
+        dens = DensityVector(tuple(values))
         graph = sample_rgraph(args.n, dens, args.seed)
         text = format_graph(graph)
     else:

@@ -486,21 +486,16 @@ def induced(graph, subset):
     return graph.induced(subset)
 
 
-def neighborhood_masks(graph, colors=None):
+def neighborhood_masks(graph):
     """Neighbourhood bitmasks of a graph, read once per pair.
 
     ``masks[c][x]`` has bit ``y`` set when the pair {x, y} has color ``c`` as
     seen from ``x``; for digraphs the larger end sees the mirrored arc code.
-    ``colors`` replaces the graph's own pair colors (same order) when given.
     """
     n = graph.n
-    if isinstance(graph, DiGraph):
-        masks = [[0] * n for _ in DIR_CODES]
-        back = [mirror(c) for c in DIR_CODES]
-    else:
-        masks = [[0] * n for _ in range(graph.r + 1)]
-        back = range(graph.r + 1)
-    pair_colors = iter(graph.colors if colors is None else colors)
+    back = far_end_states(graph)
+    masks = [[0] * n for _ in back]
+    pair_colors = iter(graph.colors)
     for i in range(n):
         bit_i = 1 << i
         for j in range(i + 1, n):
@@ -508,6 +503,15 @@ def neighborhood_masks(graph, colors=None):
             masks[c][i] |= 1 << j
             masks[back[c]][j] |= bit_i
     return masks
+
+
+def far_end_states(graph):
+    """``back[c]``: the state that the larger end of a pair in state ``c``
+    sees in :func:`neighborhood_masks`, one entry per mask row (the mirrored
+    arc code on digraphs, the color itself on multicolor graphs)."""
+    if isinstance(graph, DiGraph):
+        return tuple(mirror(c) for c in DIR_CODES)
+    return tuple(range(graph.r + 1))
 
 
 def find_induced(masks, small, banned=None):

@@ -11,19 +11,33 @@ The exact search finds one induced forbidden copy, then branches on giving
 each of its pairs each different allowed color; some pair of any copy must
 change in every solution, so the search is complete.  Branched pairs freeze
 along a branch, which removes overlap between sibling subtrees, and a greedy
-packing of pair-disjoint forbidden copies gives an admissible lower bound for
-pruning.
+packing of pair-disjoint forbidden copies gives an admissible lower bound.
 
-Each search node rebuilds the working colors' neighborhood bitmasks once
-and shares them between the copy search and the packing bound, both run by
-the matcher in ``graphs``.  The packing starts from the copy the search
-found and bans the pairs of each copy it takes through per-vertex masks of
-banned partners.  The matcher returns the lexicographically least copy, so
-the branch order, and with it the witness, is fixed by the input.
+The search runs in deepening rounds (IDA*).  The first limit is the packing
+bound at the root.  A round cuts every node whose cost plus bound passes the
+limit and stops at its first leaf; when it finds none, the next limit is the
+least cost plus bound it cut.  No limit passes the optimum, so that leaf is
+optimal.  Deepening pays when members exist on every vertex count, which
+holds when the family has an admissible one-vertex type (the level-1 test
+of ``enumerate_types``).  A family without one has members of bounded size
+only; on a larger graph no round finds a leaf, so each round would repeat
+the whole search.  Such a family gets one round without a limit, which
+lowers the limit below each leaf it finds (branch and bound).
+
+The working colors' neighborhood bitmasks are built once per call and kept
+current: a recoloring, and its undo, flips two bits at each end of the pair.
+The copy search and the packing bound read them through the matcher in
+``graphs``.  The packing starts from the copy the search found and bans the
+pairs of each copy it takes through per-vertex masks of banned partners.
+The matcher returns the lexicographically least copy, so the branch order is
+fixed by the input.  An admissible bound never cuts the path to the first
+optimal leaf in that order, so the edit count and the witness do not depend
+on the limits.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import random
@@ -31,6 +45,7 @@ import statistics
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+from .crg import enumerate_types
 from .distance import dist_upper
 from .editing import _random_edit, sample_partition
 from .errors import SizeGuardError, UsageError
@@ -40,10 +55,12 @@ from .graphs import (
     DiGraph,
     DirDensity,
     PropertyFamily,
+    far_end_states,
     find_induced,
     neighborhood_masks,
     pair_count,
     pair_index,
+    pairs,
 )
 
 DEFAULT_GUARD_MULTICOLOR = 9
@@ -88,6 +105,16 @@ def _greedy_disjoint_bound(family, masks, image):
     return count
 
 
+@functools.lru_cache(maxsize=64)
+def _members_on_every_order(family):
+    """Whether the family has an admissible one-vertex type, the level-1
+    test ``enumerate_types`` starts with.  A graph whose pairs all carry one
+    state of that type's vertex set embeds in it (for an arc code, every arc
+    runs from the lower vertex to the higher, which is acyclic), so the
+    family has members on every vertex count."""
+    return next(enumerate_types(family, 1), None) is not None
+
+
 def exact_dist(graph, family: PropertyFamily, max_n=None):
     """Exact minimum number of pair recolorings into the property, with a
     witness member on the same vertices.
@@ -96,29 +123,49 @@ def exact_dist(graph, family: PropertyFamily, max_n=None):
     EDK_GUARD_N environment variable).
     """
     family.check_graph(graph)
-    limit = max_n if max_n is not None else size_guard(family)
-    if graph.n > limit:
+    guard = max_n if max_n is not None else size_guard(family)
+    if graph.n > guard:
         raise SizeGuardError(
-            f"exact search guarded at n <= {limit}; pass max_n or set {GUARD_ENV} to override"
+            f"exact search guarded at n <= {guard}; pass max_n or set {GUARD_ENV} to override"
         )
     alphabet = family.states
     colors = list(graph.colors)
+    masks = neighborhood_masks(graph)
+    back = far_end_states(graph)
+    ends = list(pairs(graph.n))
     frozen = [False] * len(colors)
-    best = {"cost": None, "colors": None}
+    image = _find_copy(family, masks)
+    root = 0 if image is None else _greedy_disjoint_bound(family, masks, image)
+    witness = None
+
+    def move(e, c):
+        """Recolor pair ``e`` to ``c``: two mask bits flip at each end."""
+        a, b = ends[e]
+        old = colors[e]
+        colors[e] = c
+        masks[old][a] ^= 1 << b
+        masks[c][a] ^= 1 << b
+        masks[back[old]][b] ^= 1 << a
+        masks[back[c]][b] ^= 1 << a
 
     def search(cost):
-        if best["cost"] is not None and cost >= best["cost"]:
-            return
-        masks = neighborhood_masks(graph, colors)
+        """Depth first below the current colors.  True once the witness is
+        known to be optimal; the colors and masks are then left as they are."""
+        nonlocal limit, cut, witness
+        if limit is not None and cost > limit:
+            return False
         image = _find_copy(family, masks)
         if image is None:
-            best["cost"] = cost
-            best["colors"] = tuple(colors)
-            return
-        if best["cost"] is not None:
-            bound = _greedy_disjoint_bound(family, masks, image)
-            if cost + bound >= best["cost"]:
-                return
+            witness = (cost, tuple(colors))
+            if cost <= floor:
+                return True
+            limit = cost - 1
+            return False
+        if limit is not None:
+            reach = cost + _greedy_disjoint_bound(family, masks, image)
+            if reach > limit:
+                cut = reach if cut is None else min(cut, reach)
+                return False
         copy = [pair_index(graph.n, a, b) for a, b in itertools.combinations(sorted(image), 2)]
         newly = []
         for e in copy:
@@ -128,18 +175,27 @@ def exact_dist(graph, family: PropertyFamily, max_n=None):
             newly.append(e)
             orig = colors[e]
             for c in alphabet:
-                if c == orig:
-                    continue
-                colors[e] = c
-                search(cost + 1)
-            colors[e] = orig
+                if c != orig:
+                    move(e, c)
+                    if search(cost + 1):
+                        return True
+            move(e, orig)
         for e in newly:
             frozen[e] = False
+        return False
 
-    search(0)
-    if best["cost"] is None:
+    # A leaf at or below ``floor`` is optimal: a deepening limit never passes
+    # the optimum, and neither does the root bound.
+    deepen = _members_on_every_order(family)
+    limit = root if deepen else None
+    while True:
+        floor, cut = (limit if deepen else root), None
+        if search(0) or not deepen or cut is None:
+            break
+        limit = cut
+    if witness is None:
         raise ValueError("no member exists on this vertex count")
-    return best["cost"], replace(graph, colors=best["colors"])
+    return witness[0], replace(graph, colors=witness[1])
 
 
 def sample_rgraph(n, p: DensityVector, seed) -> ColoredGraph:

@@ -117,11 +117,9 @@ def case_tournament_triangle():
     fam = catalog.cyclic_triangle_family("tourn")
     chi = chromatic_number(fam, WEAK)
     checks.append(_check("cyclic triangle chi", 2, chi))
-    point = DirDensity.of(0, HALF, "tourn")
-    checks.append(_check("cyclic triangle distance", HALF, _upper(fam, point, 1)))
-    checks.append(_check(
-        "matches 1/(2(chi-1))", Fraction(1, 2 * (chi - 1)), _upper(fam, point, 1)
-    ))
+    value = _upper(fam, DirDensity.of(0, HALF, "tourn"), 1)
+    checks.append(_check("cyclic triangle distance", HALF, value))
+    checks.append(_check("matches 1/(2(chi-1))", Fraction(1, 2 * (chi - 1)), value))
     return checks
 
 

@@ -347,6 +347,26 @@ class TestCliErrorKinds:
         assert captured.out == ""
         assert f"{flag}: expected {count} comma-separated rationals, got {got}" in captured.err
 
+    def test_sample_with_one_color_names_the_flag(self, capsys):
+        code = main(["sample", "--n", "3", "--seed", "1", "--p", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--p: expected at least 2 comma-separated rationals" in captured.err
+        assert "got 1" in captured.err
+
+    @pytest.mark.parametrize("extra, named", [
+        (["--palette", "full"], "--palette"),
+        (["--dens", "1,0"], "--dens"),
+        (["--palette", "full", "--dens", "1,0"], "--palette and --dens"),
+    ])
+    def test_sample_refuses_p_with_directed_flags(self, capsys, extra, named):
+        code = main(["sample", "--n", "3", "--seed", "1", "--p", "1/2,1/2"] + extra)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"--p samples a multicolor graph; it cannot go with {named}" in captured.err
+
     def test_density_that_does_not_sum_to_one_stays_a_domain_error(self, capsys, prop_files):
         code = main(["distfn", "--property", str(prop_files["rainbow"]), "--kmax", "1",
                      "--p", "1/2,1/3,0"])

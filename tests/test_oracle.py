@@ -1,23 +1,30 @@
 """Exact distance search, samplers, and Monte Carlo estimation."""
 
+import hashlib
 import os
 import random
 import statistics
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import edk
-from edk import ColoredGraph, DensityVector, DirDensity, RType
+from edk import ColoredGraph, DensityVector, DiGraph, DirDensity, RType
 from edk.catalog import (
+    both_triangles_family,
     cyclic_triangle_family,
+    k5_family,
     mono_triangle,
     mono_triangle_family,
     rainbow_triangle_family,
+    transitive_triangle_family,
+    two_mono_triangles_family,
 )
 from edk.errors import SizeGuardError
 from edk.editing import sample_partition
-from edk.graphs import pair_count
+from edk.graphs import PALETTES, pair_count
 from edk.oracle import estimate_dist, exact_dist, sample_digraph, sample_rgraph
 from oracles import brute_exact_dist
 
@@ -96,6 +103,16 @@ class TestExactDist:
             got = exact_dist(g, cyclic_triangle_family("tourn"), max_n=10)
         assert (got[0], "".join(map(str, got[1].colors))) == (edits, witness)
 
+    def test_family_with_bounded_members(self):
+        # two colors and both mono triangles forbidden: no admissible
+        # one-vertex type, so the search runs one round without a limit
+        fam = edk.PropertyFamily.multicolor(2, [mono_triangle(2, 1), mono_triangle(2, 2)])
+        edits, witness = exact_dist(ColoredGraph.complete(5, 2, 1), fam)
+        assert edits == 5
+        assert edk.is_member(witness, fam)
+        with pytest.raises(ValueError, match="no member exists"):
+            exact_dist(ColoredGraph.complete(6, 2, 1), fam)
+
     def test_graph_outside_the_palette_is_refused(self):
         # a two-way triangle holds no single arc, but the tourn palette has
         # no two-way pairs, so it is no input for the tourn property
@@ -118,6 +135,75 @@ class TestExactDist:
             assert exact_dist(big, fam)[0] == 0
         finally:
             del os.environ["EDK_GUARD_N"]
+
+
+# sha256 over GOLDEN_CASES, n = 3..8 and 12 seeds each (504 graphs) of the
+# lines "name n seed edits witness-colors", recorded before the search moved
+# to deepening rounds with neighborhood masks kept across recolorings
+GOLDEN_DIGEST = "7bea765c080e91611163881f0a8dfe4a4b92b560d08c5b2c2ee991b5b6b7c653"
+GOLDEN_CASES = [
+    ("rainbow", rainbow_triangle_family(), DensityVector.uniform(3)),
+    ("mono", mono_triangle_family(), DensityVector.uniform(3)),
+    ("two-mono", two_mono_triangles_family(), DensityVector.uniform(3)),
+    ("k5", k5_family(), DensityVector.uniform(2)),
+    ("cyclic-tourn", cyclic_triangle_family("tourn"), TOURN_POINT),
+    ("both-full", both_triangles_family("full"), DirDensity.of(F(1, 4), F(1, 4), "full")),
+    ("transitive-orien", transitive_triangle_family("orien"), DirDensity.of(0, F(1, 3), "orien")),
+]
+
+
+def test_witnesses_golden():
+    digest = hashlib.sha256()
+    for name, fam, dens in GOLDEN_CASES:
+        sample = sample_digraph if fam.is_directed else sample_rgraph
+        for n in range(3, 9):
+            for i in range(12):
+                seed = 1000 * n + i
+                edits, witness = exact_dist(sample(n, dens, seed), fam)
+                line = f"{name} {n} {seed} {edits} {''.join(map(str, witness.colors))}\n"
+                digest.update(line.encode())
+    assert digest.hexdigest() == GOLDEN_DIGEST
+
+
+@st.composite
+def exact_cases(draw):
+    """A family of one or two forbidden graphs on 2 or 3 vertices (r = 2,
+    r = 3 or any palette) and a graph of its states small enough for full
+    enumeration: n <= 5, or n <= 4 with three or more states."""
+    arity = draw(st.sampled_from([2, 3] + sorted(PALETTES)))
+    if isinstance(arity, int):
+        states = tuple(range(1, arity + 1))
+        make = lambda n, colors: ColoredGraph(n, arity, colors)  # noqa: E731
+        build = lambda graphs: edk.PropertyFamily.multicolor(arity, graphs)  # noqa: E731
+    else:
+        states = PALETTES[arity].sorted_codes()
+        make = lambda n, colors: DiGraph(n, colors)  # noqa: E731
+        build = lambda graphs: edk.PropertyFamily.directed(arity, graphs)  # noqa: E731
+
+    def graph(n):
+        return make(n, tuple(draw(st.lists(st.sampled_from(states), min_size=pair_count(n),
+                                           max_size=pair_count(n)))))
+
+    sizes = draw(st.lists(st.sampled_from((2, 3, 3)), min_size=1, max_size=2))
+    family = build([graph(h) for h in sizes])
+    top = 5 if len(states) == 2 else 4
+    # the larger of two draws: larger graphs more often need edits
+    return family, graph(max(draw(st.integers(0, top)), draw(st.integers(0, top))))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(exact_cases())
+def test_exact_dist_matches_full_enumeration(case):
+    family, g = case
+    expected = brute_exact_dist(g, family, family.states)
+    if expected is None:
+        with pytest.raises(ValueError, match="no member exists"):
+            exact_dist(g, family)
+        return
+    edits, witness = exact_dist(g, family)
+    assert edits == expected
+    assert edk.is_member(witness, family)
+    assert edk.hamming(g, witness) == edits
 
 
 class TestSamplers:
