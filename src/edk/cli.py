@@ -32,6 +32,7 @@ from .graphs import (
     DensityVector,
     DirDensity,
     PropertyFamily,
+    hamming,
     is_member,
     pair_count,
     pair_index,
@@ -246,9 +247,7 @@ def _cmd_oracle(args):
         "edits": edits,
         "normalized": _frac(Fraction(edits, pair_count(graph.n))) if graph.n >= 2 else "0",
         "witness_member": is_member(witness, family),
-        "hamming_check": edits == sum(
-            1 for a, b in zip(graph.colors, witness.colors) if a != b
-        ),
+        "hamming_check": edits == hamming(graph, witness),
     }
     return _emit(args, payload)
 
@@ -271,6 +270,9 @@ def _cmd_sample(args):
         pal = args.palette or "tourn"
         if args.dens is not None:
             p, q = _rationals(args.dens, "--dens", 2)
+            if args.palette is None and (p, q) != (0, Fraction(1, 2)):
+                raise UsageError(f"--dens {args.dens} needs --palette: the default palette "
+                                 f"is tourn, whose density is fixed at 0,1/2")
         elif pal == "tourn":
             p, q = Fraction(0), Fraction(1, 2)
         else:
@@ -429,7 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 # The least accepted value of each integer flag, on every subcommand that
 # takes it.
-_FLAG_MINIMUMS = {"trials": 1, "jobs": 1, "kmax": 1, "ceiling": 1, "type_index": 0, "max_n": 1}
+_FLAG_MINIMUMS = {"n": 1, "trials": 1, "jobs": 1, "kmax": 1, "ceiling": 1, "type_index": 0,
+                  "max_n": 1}
 
 
 def _check_flag_ranges(args):

@@ -23,13 +23,15 @@ arities' names.
 from __future__ import annotations
 
 import bisect
+import itertools
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
 
 from .crg import DirType, RType, check_graph_arity
 from .distance import m_matrix, quad_form
-from .graphs import BWD, FWD, ColoredGraph, DiGraph, PropertyFamily, pair_count, pairs, rational
+from .graphs import BWD, FWD, ColoredGraph, DiGraph, PropertyFamily, pair_count, rational
 from .spectrum import is_weakly_good, spectrum_tuple_type
 
 
@@ -45,14 +47,13 @@ def check_weights(weights, k):
 def sample_partition(n, weights, rng) -> tuple:
     """``n`` independent draws, each ``i`` with probability weights[i]: part
     assignments here, pair colors in the samplers of ``oracle``.  Each draw
-    takes one ``rng.random()`` against cumulative float weights."""
-    cumulative = []
-    run = Fraction(0)
-    for w in weights:
-        run += w
-        cumulative.append(float(run))
-    last = len(weights) - 1
-    return tuple(min(bisect.bisect_right(cumulative, rng.random()), last) for _ in range(n))
+    takes one ``rng.random()`` against cumulative float weights; the last
+    one is infinite, so a draw past a float sum short of one lands on the
+    last index."""
+    cumulative = [float(run) for run in itertools.accumulate(weights)]
+    cumulative[-1] = math.inf
+    draw = rng.random
+    return tuple([bisect.bisect_right(cumulative, draw()) for _ in range(n)])
 
 
 def edit_by_type(g: ColoredGraph, k_type: RType, weights, seed) -> tuple:
@@ -94,19 +95,24 @@ def edit_with_partition(g, k_type, parts, orders=None) -> tuple:
     one_arrow = set(_one_arrow_parts(k_type))
     colors = list(g.colors)
     changes = 0
-    for idx, (i, j) in enumerate(pairs(g.n)):
+    n, idx = g.n, 0
+    for i in range(n):
         x = parts[i]
-        allowed = table[x][parts[j]]
-        bit = 1 << (colors[idx] - first)
-        if x == parts[j] and x in one_arrow and (bit & arrows or not allowed & ~arrows):
-            # a single arc, or a pair whose one allowed state is an arc,
-            # follows the part's order (other pairs take non-arc codes,
-            # which come first)
-            ahead = orders is None or orders[x][i] < orders[x][j]
-            allowed = 1 << ((FWD if ahead else BWD) - first)
-        if not bit & allowed:
-            colors[idx] = (allowed & -allowed).bit_length() - 1 + first
-            changes += 1
+        row, ordered = table[x], x in one_arrow
+        for j in range(i + 1, n):
+            y = parts[j]
+            allowed = row[y]
+            bit = 1 << (colors[idx] - first)
+            if ordered and x == y and (bit & arrows or not allowed & ~arrows):
+                # a single arc, or a pair whose one allowed state is an arc,
+                # follows the part's order (other pairs take non-arc codes,
+                # which come first)
+                ahead = orders is None or orders[x][i] < orders[x][j]
+                allowed = 1 << ((FWD if ahead else BWD) - first)
+            if not bit & allowed:
+                colors[idx] = (allowed & -allowed).bit_length() - 1 + first
+                changes += 1
+            idx += 1
     return replace(g, colors=tuple(colors)), changes
 
 

@@ -9,6 +9,11 @@ from the lower-numbered vertex, arc toward it).  Blank lines separate blocks
 and ``#`` starts a comment.
 
 A graph file uses the same header plus exactly one block.
+
+Blocks are written and read a row at a time.  A row is read through a table
+of the tokens already read under the header.  A row holding a new token is
+read token by token, which accepts spellings such as ``01`` and names the
+first bad token and its line, and its tokens join the table.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from .graphs import (
     ColoredGraph,
     DiGraph,
     PropertyFamily,
-    pair_index,
     palette,
 )
 
@@ -55,6 +59,7 @@ def _parse_header(lineno, line):
 
 def _parse_blocks(lines, header):
     kind, arity = header
+    state_of = {}  # each token read so far under this header, with its state
     graphs = []
     it = iter(lines)
     pending = next(it, None)
@@ -70,7 +75,7 @@ def _parse_blocks(lines, header):
         if n < 1:
             raise PropertyFormatError("graphs need at least one vertex", lineno)
 
-        colors = [None] * (n * (n - 1) // 2)
+        colors = []
         for i in range(n - 1):
             row = next(it, None)
             if row is None:
@@ -81,9 +86,11 @@ def _parse_blocks(lines, header):
                 raise PropertyFormatError(
                     f"row {i} has {len(entries)} entries, expected {n - 1 - i}", row_lineno
                 )
-            for off, token in enumerate(entries):
-                j = i + 1 + off
-                colors[pair_index(n, i, j)] = _parse_entry(token, kind, arity, row_lineno)
+            states = list(map(state_of.get, entries))
+            if None in states:
+                states = [_parse_entry(token, kind, arity, row_lineno) for token in entries]
+                state_of.update(zip(entries, states))
+            colors.extend(states)
         if kind == "multicolor":
             graphs.append(ColoredGraph(n, arity, tuple(colors)))
         else:
@@ -137,16 +144,15 @@ def parse_graph(text: str):
     return graphs[0]
 
 
-def _format_entry(graph, i, j):
-    if isinstance(graph, ColoredGraph):
-        return str(graph.color(i, j))
-    return DIR_SYMBOL[graph.color(i, j)]
-
-
 def format_graph_block(graph) -> str:
-    lines = [f"graph n={graph.n}"]
-    for i in range(graph.n - 1):
-        lines.append(" ".join(_format_entry(graph, i, j) for j in range(i + 1, graph.n)))
+    n, colors = graph.n, graph.colors
+    spell = str if isinstance(graph, ColoredGraph) else DIR_SYMBOL.__getitem__
+    lines = [f"graph n={n}"]
+    start = 0
+    for i in range(n - 1):
+        end = start + n - 1 - i
+        lines.append(" ".join(map(spell, colors[start:end])))
+        start = end
     return "\n".join(lines)
 
 

@@ -22,7 +22,11 @@ Induced copies are found by one matcher over neighborhood bitmasks (Python
 ints, one per vertex and color, built in one pass over the pairs).  It maps
 the small graph's vertices in order and tries candidates lowest vertex first,
 so the copy it returns is the lexicographically least image; the exact oracle
-relies on that order for reproducible witnesses.
+relies on that order for reproducible witnesses.  Mapping a vertex narrows
+the candidate sets of all later vertices at once (forward checking), a
+branch that empties one of them is dropped, and the last vertex is read off
+its candidate set instead of being branched on.  Neither step changes which
+copy is found first.
 
 All values are immutable and hashable, so they are safe to share across
 concurrent workers.
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -174,9 +179,9 @@ class ColoredGraph:
             raise ValueError("need at least 2 colors")
         if len(self.colors) != pair_count(self.n):
             raise ValueError("wrong number of pair colors")
-        for c in self.colors:
-            if not 1 <= c <= self.r:
-                raise ValueError(f"color {c} out of range 1..{self.r}")
+        if self.colors and not 1 <= min(self.colors) <= max(self.colors) <= self.r:
+            bad = next(c for c in self.colors if not 1 <= c <= self.r)
+            raise ValueError(f"color {bad} out of range 1..{self.r}")
 
     @classmethod
     def from_color_map(cls, n, r, mapping):
@@ -224,9 +229,9 @@ class DiGraph:
             raise ValueError("vertex count must be nonnegative")
         if len(self.colors) != pair_count(self.n):
             raise ValueError("wrong number of pair colors")
-        for c in self.colors:
-            if c not in DIR_CODES:
-                raise ValueError(f"bad digraph pair code {c!r}")
+        if not _PALETTE_CODES["full"].issuperset(self.colors):
+            bad = next(c for c in self.colors if c not in DIR_CODES)
+            raise ValueError(f"bad digraph pair code {bad!r}")
 
     @classmethod
     def from_color_map(cls, n, mapping, default=NONEDGE):
@@ -518,43 +523,63 @@ def find_induced(masks, small, banned=None):
     """The lexicographically least injective image of ``small``'s vertices
     under which every pair keeps its color exactly, or None.
 
-    ``masks`` are the big graph's :func:`neighborhood_masks`.  Vertices are
-    mapped in order; the candidates for the next one are the AND of the
-    mapped vertices' neighborhoods in the required colors, minus the used
-    vertices, tried lowest bit first.  ``banned[x]``, when given, is a mask
-    of partners that no copy may pair with ``x``.
+    ``masks`` are the big graph's :func:`neighborhood_masks`, which hold no
+    vertex's own bit.  Vertices are mapped in order and candidates are tried
+    lowest bit first.  Mapping vertex v to x ANDs x's neighborhood in each
+    required color into the candidate set of every later vertex (forward
+    checking), and a branch that leaves one of them empty is dropped; such a
+    branch holds no copy, so the least copy is still the one returned.  The
+    last vertex is not branched on: the second-to-last level takes the
+    lowest bit of the last candidate set left nonempty.  ``banned[x]``, when
+    given, is a mask of partners that no copy may pair with ``x``.
     """
     n, h = len(masks[0]), small.n
     if h > n:
         return None
-    need = _need_rows(small)
+    if h < 2:
+        return tuple(range(h))
+    cols = _later_colors(small)
     image = [0] * h
-    everyone = (1 << n) - 1
+    last = h - 2
 
-    def extend(v, used):
-        if v == h:
-            return True
-        cand = everyone & ~used
-        for u, c in enumerate(need[v]):
-            x = image[u]
-            cand &= masks[c][x]
-            if banned:
-                cand &= ~banned[x]
+    def extend(v, cand, later):
+        """Map vertices v.. given their candidate sets: ``cand`` for v and
+        ``later`` for v + 1 .. h - 1."""
+        if v == last:
+            tail, row = later[0], masks[cols[v][0]]
+            while cand:
+                low = cand & -cand
+                x = low.bit_length() - 1
+                ends = tail & row[x]
+                if ends and banned:
+                    ends &= ~banned[x]
+                if ends:
+                    image[v], image[v + 1] = x, (ends & -ends).bit_length() - 1
+                    return True
+                cand ^= low
+            return False
+        colors = cols[v]
         while cand:
             low = cand & -cand
-            image[v] = low.bit_length() - 1
-            if extend(v + 1, used | low):
+            x = low.bit_length() - 1
+            keep = ~banned[x] if banned else -1
+            nxt = [d & masks[c][x] & keep for d, c in zip(later, colors)]
+            if all(nxt) and extend(v + 1, nxt[0], nxt[1:]):
+                image[v] = x
                 return True
             cand ^= low
         return False
 
-    return tuple(image) if extend(0, 0) else None
+    everyone = (1 << n) - 1
+    return tuple(image) if extend(0, everyone, [everyone] * (h - 1)) else None
 
 
 @functools.lru_cache(maxsize=64)
-def _need_rows(small):
-    """``rows[v][u]``: the color the pair {u, v} must keep, for u < v."""
-    return tuple(tuple(small.color(u, v) for u in range(v)) for v in range(small.n))
+def _later_colors(small):
+    """``cols[v][k]``: the color the pair {v, v + 1 + k} must keep, as seen
+    from v."""
+    return tuple(tuple(small.color(v, w) for w in range(v + 1, small.n))
+                 for v in range(small.n))
 
 
 def contains_induced(big, small) -> bool:
@@ -576,7 +601,7 @@ def hamming(g, g2) -> int:
     _check_same_arity(g, g2)
     if g.n != g2.n:
         raise ValueError("vertex counts differ")
-    return sum(1 for a, b in zip(g.colors, g2.colors) if a != b)
+    return sum(map(operator.ne, g.colors, g2.colors))
 
 
 def hamming_normalized(g, g2) -> Fraction:

@@ -7,6 +7,7 @@ full enumeration of colorings, partitions by full assignment enumeration.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from fractions import Fraction
 
@@ -46,6 +47,31 @@ def brute_first_copy(big, small, banned=frozenset()):
         ):
             return verts
     return None
+
+
+def entrywise_graph_block(graph) -> str:
+    """A graph file block written one entry at a time through ``color``."""
+    symbols = {0: "o", 1: "-", 2: ">", 3: "<"}
+    lines = [f"graph n={graph.n}"]
+    for i in range(graph.n - 1):
+        entries = []
+        for j in range(i + 1, graph.n):
+            c = graph.color(i, j)
+            entries.append(str(c) if isinstance(graph, ColoredGraph) else symbols[c])
+        lines.append(" ".join(entries))
+    return "\n".join(lines)
+
+
+def clamped_draws(n, weights, rng) -> tuple:
+    """``n`` categorical draws, each bisecting one ``rng.random()`` into the
+    cumulative float weights and clamping the index to the last weight."""
+    cumulative = []
+    run = Fraction(0)
+    for w in weights:
+        run += w
+        cumulative.append(float(run))
+    last = len(weights) - 1
+    return tuple(min(bisect.bisect_right(cumulative, rng.random()), last) for _ in range(n))
 
 
 def brute_is_member(graph, family) -> bool:

@@ -367,6 +367,17 @@ class TestCliErrorKinds:
         assert captured.out == ""
         assert f"--p samples a multicolor graph; it cannot go with {named}" in captured.err
 
+    def test_sample_dens_without_palette_names_the_default(self, capsys):
+        code = main(["sample", "--n", "4", "--seed", "1", "--dens", "1/4,1/4"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == ("error: --dens 1/4,1/4 needs --palette: the default palette "
+                                "is tourn, whose density is fixed at 0,1/2\n")
+        code = main(["sample", "--n", "4", "--seed", "1", "--dens", "0,1/2"])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("directed palette=tourn\n")
+
     def test_density_that_does_not_sum_to_one_stays_a_domain_error(self, capsys, prop_files):
         code = main(["distfn", "--property", str(prop_files["rainbow"]), "--kmax", "1",
                      "--p", "1/2,1/3,0"])
@@ -429,6 +440,7 @@ class TestFlagRanges:
         "estimate": ["estimate", "--n", "5", "--p", "1/3,1/3,1/3", "--trials", "1",
                      "--seed", "1", "--kmax", "1"],
         "oracle": ["oracle", "--graph", "{rgraph}"],
+        "sample": ["sample", "--seed", "1", "--p", "1/3,1/3,1/3"],
     }
 
     @pytest.mark.parametrize("command, flag, value, low", [
@@ -442,11 +454,16 @@ class TestFlagRanges:
         ("estimate", "--max-n", "-1", 1),
         ("estimate", "--max-n", "0", 1),
         ("oracle", "--max-n", "0", 1),
+        ("sample", "--n", "0", 1),
+        ("sample", "--n", "-2", 1),
+        ("estimate", "--n", "0", 1),
     ])
     def test_below_the_least_value_is_a_usage_error(self, capsys, prop_files, command, flag,
                                                     value, low):
         argv = [a.format(rgraph=prop_files["rgraph"]) for a in self.COMMANDS[command]]
-        code = main(argv + ["--property", str(prop_files["rainbow"]), flag, value])
+        if command != "sample":
+            argv += ["--property", str(prop_files["rainbow"])]
+        code = main(argv + [flag, value])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
@@ -459,3 +476,5 @@ class TestFlagRanges:
         argv = [a.format(rgraph=prop_files["rgraph"]) for a in self.COMMANDS["estimate"]]
         assert main(argv + ["--property", str(prop_files["rainbow"]), "--max-n", "1"]) == 0
         assert json.loads(capsys.readouterr().out)["mode"] == "algorithmic"
+        assert main(self.COMMANDS["sample"] + ["--n", "1"]) == 0
+        assert capsys.readouterr().out == "multicolor r=3\n\ngraph n=1\n"

@@ -26,8 +26,14 @@ from edk.catalog import (
     rainbow_triangle_family,
     triangle,
 )
+from edk.files import format_graph_block
 from edk.graphs import PALETTES, find_induced, neighborhood_masks, pair_count
-from oracles import brute_contains_induced, brute_first_copy, brute_is_member
+from oracles import (
+    brute_contains_induced,
+    brute_first_copy,
+    brute_is_member,
+    entrywise_graph_block,
+)
 
 EX2_TEXT = """
 # one forbidden triangle with colors 1,1,2
@@ -96,6 +102,76 @@ class TestParsing:
         assert edk.parse_graph(edk.format_graph(g)) == g
         d = random_digraph(rng, 6)
         assert edk.parse_graph(edk.format_graph(d, "full")) == d
+
+
+@st.composite
+def graph_and_header(draw):
+    """A graph with at most 30 vertices of either arity, with the palette
+    its file names: r = 2..4, or any of the five palettes."""
+    n = draw(st.integers(0, 30))
+    kind = draw(st.sampled_from([2, 3, 4] + sorted(PALETTES)))
+    if isinstance(kind, int):
+        colors = st.integers(1, kind)
+        make, pal = (lambda n, cs: ColoredGraph(n, kind, cs)), None  # noqa: E731
+    else:
+        colors, make, pal = st.sampled_from(PALETTES[kind].sorted_codes()), DiGraph, kind
+    return make(n, tuple(draw(st.lists(colors, min_size=pair_count(n),
+                                       max_size=pair_count(n))))), pal
+
+
+class TestGraphFiles:
+    """Graph blocks written and read a row at a time, against an
+    entry-at-a-time writer, and the errors of malformed files."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(graph_and_header())
+    def test_rows_match_the_entrywise_writer_and_read_back(self, case):
+        g, pal = case
+        assert format_graph_block(g) == entrywise_graph_block(g)
+        if g.n:  # a graph file holds at least one vertex
+            assert edk.parse_graph(edk.format_graph(g, pal)) == g
+
+    @pytest.mark.parametrize("text, lineno, message", [
+        ("directed palette=full\ngraph n=3\n> x\n<\n", 3,
+         "bad pair symbol 'x', expected one of o - > <"),
+        ("directed palette=compl\ngraph n=2\nO\n", 3,
+         "bad pair symbol 'O', expected one of o - > <"),
+        ("directed palette=tourn\ngraph n=2\n>>\n", 3,
+         "bad pair symbol '>>', expected one of o - > <"),
+        ("directed palette=orien\n\n# a comment\ngraph n=3\no >\n-\n", 6,
+         "palette violation: '-' not allowed under orien"),
+        ("multicolor r=2\ngraph n=3\n1 3\n2\n", 3, "color out of range: 3 not in 1..2"),
+        ("multicolor r=3\ngraph n=3\n1 2\n0\n", 4, "color out of range: 0 not in 1..3"),
+        ("multicolor r=3\ngraph n=3\n1 2  # note\n1_0\n", 4,
+         "color out of range: 10 not in 1..3"),
+        ("multicolor r=3\ngraph n=3\n1 a\n2\n", 3, "bad color 'a'"),
+        ("multicolor r=3\ngraph n=3\n1 2 3\n2\n", 3, "row 0 has 3 entries, expected 2"),
+        ("multicolor r=3\ngraph n=3\n1 2\n\n# gap\n2 1\n", 6,
+         "row 1 has 2 entries, expected 1"),
+        ("multicolor r=3\ngraph n=4\n1 2 3\n1 1\n", 2,
+         "graph block ended early, expected row 2"),
+    ])
+    def test_malformed_rows_name_the_line(self, text, lineno, message):
+        with pytest.raises(PropertyFormatError) as err:
+            edk.parse_graph(text)
+        assert err.value.lineno == lineno
+        assert str(err.value) == f"line {lineno}: {message}"
+
+    def test_tokens_int_reads_are_colors(self):
+        text = "multicolor r=3\ngraph n=3\n01 +2\n3\n"
+        assert edk.parse_graph(text) == ColoredGraph(3, 3, (1, 2, 3))
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: ColoredGraph(3, 2, (1, 3, 0)), "color 3 out of range 1..2"),
+        (lambda: ColoredGraph(3, 3, (2, 0, 4)), "color 0 out of range 1..3"),
+        (lambda: DiGraph(3, (0, 5, 7)), "bad digraph pair code 5"),
+        (lambda: DiGraph(3, (2, 3, -1)), "bad digraph pair code -1"),
+        (lambda: DiGraph(2, ("x",)), "bad digraph pair code 'x'"),
+    ])
+    def test_bad_states_name_the_first(self, make, message):
+        with pytest.raises(ValueError) as err:
+            make()
+        assert str(err.value) == message
 
 
 class TestInduced:

@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 
 import edk
 from edk import ColoredGraph, DiGraph, DirType, PropertyFamily, RType, catalog
-from edk.editing import edit_with_partition
+from edk.editing import edit_with_partition, sample_partition
 from edk.graphs import BIEDGE, DIR_CODES, FWD, PALETTES, pair_count
 from edk.oracle import estimate_dist, sample_digraph, sample_rgraph
-from oracles import brute_edit
+from oracles import brute_edit, clamped_draws
 
 F = Fraction
 
@@ -55,6 +55,27 @@ def edit_cases(draw):
 def test_one_editor_matches_the_rule(case):
     g, k_type, parts, orders = case
     assert edit_with_partition(g, k_type, parts, orders) == brute_edit(g, k_type, parts, orders)
+
+
+@st.composite
+def draw_weights(draws):
+    """Nonnegative Fraction weights, with zeros anywhere and first, in the
+    middle or last; half the time they sum to one, otherwise they sum to
+    anything, so that a draw can pass the last float sum."""
+    weights = draws(st.lists(st.fractions(0, 1, max_denominator=12), min_size=1, max_size=5))
+    if len(weights) >= 3:
+        weights[draws(st.sampled_from([0, len(weights) // 2, len(weights) - 1]))] = F(0)
+    if draws(st.booleans()) and sum(weights):
+        weights = [w / sum(weights) for w in weights]
+    return weights
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 40), draw_weights(), st.integers(0, 2 ** 32))
+def test_sampler_matches_the_clamped_draws(n, weights, seed):
+    rng, reference = random.Random(seed), random.Random(seed)
+    assert sample_partition(n, weights, rng) == clamped_draws(n, weights, reference)
+    assert rng.random() == reference.random()  # one draw per index, no more
 
 
 class TestArityRefusal:
