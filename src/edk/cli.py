@@ -47,6 +47,11 @@ def _frac(value) -> str:
     return str(Fraction(value))
 
 
+def _normalized(count, n) -> str:
+    """``count`` over the pair count of an n-vertex graph; "0" when n < 2."""
+    return _frac(Fraction(count, pair_count(n))) if n >= 2 else "0"
+
+
 def _density_list(dens):
     if isinstance(dens, DensityVector):
         return [_frac(p) for p in dens]
@@ -225,7 +230,7 @@ def _cmd_edit(args):
         changes, member = results[0]
         payload = {
             "changes": changes,
-            "normalized": _frac(Fraction(changes, pair_count(graph.n))),
+            "normalized": _normalized(changes, graph.n),
             "member": member,
         }
         return _emit(args, payload, csv_rows=[[changes, member]])
@@ -245,7 +250,7 @@ def _cmd_oracle(args):
     edits, witness = exact_dist(graph, family, max_n=args.max_n)
     payload = {
         "edits": edits,
-        "normalized": _frac(Fraction(edits, pair_count(graph.n))) if graph.n >= 2 else "0",
+        "normalized": _normalized(edits, graph.n),
         "witness_member": is_member(witness, family),
         "hamming_check": edits == hamming(graph, witness),
     }

@@ -20,14 +20,18 @@ Enumeration grows admissible types one vertex at a time.  Because the parent
 is admissible, a child can fail only through an embedding that uses the new
 vertex; per parent, those embeddings reduce to a short list of edge rows
 the new vertex must not cover, so a candidate is tested by a few mask
-comparisons, and canonical keys are read from the raw mask table.  A type
-object is built only for each new canonical key.
+comparisons.  Its canonical key is read off a flat tuple of masks by
+itemgetters, one per vertex permutation that sorts the vertex sets (the least
+encoding starts with them), built once per pattern of tied sets.  A type
+object is built only once per key.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field, replace
 
 from .errors import EnumerationGuardError
@@ -49,29 +53,16 @@ DEFAULT_CANDIDATE_CEILING = 5_000_000
 
 def color_set_mask(colors, r=None) -> int:
     """Bitmask for a set of multicolor colors (1..r)."""
-    m = 0
-    for c in colors:
-        m |= 1 << (c - 1)
-    return m
+    return dir_set_mask(c - 1 for c in colors)
 
 
 def mask_colors(mask: int):
     """Multicolor colors present in a bitmask, ascending."""
-    out = []
-    c = 1
-    while mask:
-        if mask & 1:
-            out.append(c)
-        mask >>= 1
-        c += 1
-    return tuple(out)
+    return tuple(c for c in range(1, mask.bit_length() + 1) if mask >> (c - 1) & 1)
 
 
 def dir_set_mask(codes) -> int:
-    m = 0
-    for c in codes:
-        m |= 1 << c
-    return m
+    return functools.reduce(operator.or_, (1 << c for c in codes), 0)
 
 
 def dir_mask_codes(mask: int):
@@ -191,34 +182,57 @@ def sub_type(k_type, subset):
 
 
 def canonical_key(k_type):
-    """Lexicographically minimal encoding over all vertex permutations."""
-    return _min_encoding(list(itertools.chain.from_iterable(k_type.table)), k_type.k)
+    """Lexicographically minimal encoding over all vertex permutations.
+
+    The vertex sets come first in the encoding, so only the permutations
+    that sort them can reach the minimum, and only those are tried: each
+    order of each run of equal sets (``_key_reader``).  The type is read as
+    ``enumerate_types`` reads a child: its first k-1 vertices, sorted by
+    vertex set, plus vertex k-1."""
+    k = k_type.k
+    if k < 2:
+        return k_type.encoding()
+    table, vsets, arrows = k_type.table, k_type.vertex_sets, k_type.arrows
+    head, last = sorted(range(k - 1), key=vsets.__getitem__), k - 1
+    flat = tuple(table[x][y] for x in head for y in head)
+    mirror = functools.partial(_mirror, arrows=arrows) if arrows else None
+    (key,) = _child_keys(flat, tuple(vsets[x] for x in head), vsets[last],
+                         [tuple(table[x][last] for x in head)], mirror)
+    return key[:k], key[k:]
 
 
-def _encoding_orders(k):
-    """Per vertex permutation of range(k), the flat k x k table positions of
-    its encoding, vertex sets then edge sets."""
-    return (tuple(x * (k + 1) for x in perm)
-            + tuple(perm[a] * k + perm[b] for a, b in pairs(k))
-            for perm in itertools.permutations(range(k)))
+def _child_keys(flat, vsets, vs, rows, mirror):
+    """Per row of ``rows``, the canonical key (vertex sets, then edge sets,
+    in one tuple) of a parent with flat mask table ``flat`` and sorted vertex
+    sets ``vsets`` plus a new vertex with set ``vs`` and that row of edge
+    sets; ``mirror`` gives an edge set seen from the new vertex (None: same)."""
+    slot = bisect.bisect_right(vsets, vs)
+    key = _key_reader(tuple(len(tuple(run)) for _, run in
+                            itertools.groupby(sorted(vsets + (vs,)))), slot)
+    mirrored = rows if mirror is None else [tuple(map(mirror, row)) for row in rows]
+    tail = (vs,)
+    return map(key, [flat + row + back + tail for row, back in zip(rows, mirrored)])
 
 
-@functools.lru_cache(maxsize=None)
-def _kept_orders(k):
-    return tuple(_encoding_orders(k))
-
-
-def _min_encoding(flat, k):
-    """``canonical_key`` of the type whose mask table, row by row, is ``flat``.
-
-    The vertex sets come first and have a fixed length, so comparing the
-    concatenated encodings compares the (vertex sets, edge sets) pairs."""
-    get = flat.__getitem__
-    # the k! orders are kept up to k = 7 (5040 of them); more would not fit
-    # in memory, so larger types get them afresh
-    orders = _kept_orders(k) if k <= 7 else _encoding_orders(k)
-    best = min(tuple(map(get, order)) for order in orders)
-    return best[:k], best[k:]
+@functools.lru_cache(maxsize=1024)
+def _key_reader(runs, slot):
+    """The least encoding of a flat table (the first k-1 vertices' table,
+    then vertex k-1's column, row and vertex set), as a function; the first
+    k-1 vertex sets are sorted, vertex k-1 sorts to ``slot`` after equal
+    ones, and ``runs`` are the lengths of the runs of equal sets.  It reads
+    one itemgetter per permutation that reorders each run within itself."""
+    k = sum(runs)
+    cells = ([(x, y) for x in range(k - 1) for y in range(k - 1)]
+             + [(x, k - 1) for x in range(k - 1)] + [(k - 1, y) for y in range(k)])
+    index = {cell: i for i, cell in enumerate(cells)}
+    order = [*range(slot), k - 1, *range(slot, k - 1)]
+    blocks = [itertools.permutations(order[end - length:end])
+              for length, end in zip(runs, itertools.accumulate(runs))]
+    perms = (sum(parts, ()) for parts in itertools.product(*blocks))
+    getters = [operator.itemgetter(*(index[x, x] for x in perm),
+                                   *(index[perm[a], perm[b]] for a, b in pairs(k)))
+               for perm in perms]
+    return getters[0] if len(getters) == 1 else lambda flat: min([g(flat) for g in getters])
 
 
 def canonicalize(k_type):
@@ -237,12 +251,9 @@ def _pair_bits(h):
 def _images(h, table, arrows, free=False):
     """Yield every vertex map of ``h`` into the type with mask table
     ``table`` that carries each pair color into the set of its image vertex
-    or edge, as one list rewritten between yields.
-
-    Inside one class, a directed vertex set holding exactly one arrow accepts
-    single arcs either way as long as the class's arcs stay acyclic.  With
-    ``free``, an extra target vertex ``len(table)`` takes every pair that
-    touches it; the caller tests those pairs.
+    or edge (one-arrow classes as in ``embeds``), as one list rewritten
+    between yields.  With ``free``, an extra target vertex ``len(table)``
+    takes every pair that touches it; the caller tests those pairs.
     """
     bits = _pair_bits(h)
     k = len(table)
@@ -383,18 +394,6 @@ def _free_rows(needs, edge_choices, width):
     return [row for row, live in rows if not live]
 
 
-def _child_key(table, vs, row, arrows):
-    """Canonical key of the parent with mask table ``table`` plus a new
-    vertex with set ``vs`` and edge sets ``row`` to the parent's vertices."""
-    flat = []
-    for parent_row, e in zip(table, row):
-        flat += parent_row
-        flat.append(e)
-    flat += [_mirror(e, arrows) for e in row]
-    flat.append(vs)
-    return _min_encoding(flat, len(table) + 1)
-
-
 def enumerate_types(family: PropertyFamily, kmax: int,
                     candidate_ceiling: int = DEFAULT_CANDIDATE_CEILING):
     """Yield every admissible type with at most ``kmax`` vertices, once per
@@ -405,9 +404,9 @@ def enumerate_types(family: PropertyFamily, kmax: int,
     vertices (every restriction of an admissible type is admissible, so this
     loses nothing) by a vertex set and a row of edge sets.  A candidate is
     rejected when its row covers one of the parent's extension needs (see
-    ``_extension_needs``); a type object is built only for a canonical key
-    not seen before.  Refuses with :class:`EnumerationGuardError` when the
-    raw candidate count would pass ``candidate_ceiling``.
+    ``_extension_needs``); a type object is built once per canonical key,
+    from the level's sorted keys.  Refuses with :class:`EnumerationGuardError`
+    when the raw candidate count would pass ``candidate_ceiling``.
     """
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
@@ -421,18 +420,18 @@ def enumerate_types(family: PropertyFamily, kmax: int,
 
     examined = len(vertex_choices)
     class_fits = {}
+    mirror = ({e: _mirror(e, ARROW_MASK) for e in edge_choices}.__getitem__
+              if family.is_directed else None)
     for k in range(2, kmax + 1):
         examined += len(level) * len(vertex_choices) * len(edge_choices) ** (k - 1)
         if examined > candidate_ceiling:
             raise EnumerationGuardError(examined, candidate_ceiling)
-        seen = {}
+        seen = set()
         for parent in level:
-            table, arrows = parent.table, parent.arrows
+            flat = tuple(itertools.chain.from_iterable(parent.table))
             choice_needs = _extension_needs(parent, family, vertex_choices, class_fits)
             for vs, needs in zip(vertex_choices, choice_needs):
-                for row in _free_rows(needs, edge_choices, k - 1):
-                    key = _child_key(table, vs, row, arrows)
-                    if key not in seen:
-                        seen[key] = make(*key)
-        level = sorted(seen.values(), key=lambda t: t.encoding())
+                rows = _free_rows(needs, edge_choices, k - 1)
+                seen.update(_child_keys(flat, parent.vertex_sets, vs, rows, mirror))
+        level = [make(key[:k], key[k:]) for key in sorted(seen)]
         yield from level

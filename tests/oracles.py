@@ -410,6 +410,16 @@ def brute_g_value(m):
     return best_val, best_w
 
 
+def brute_canonical_key(k_type):
+    """The least (vertex sets, edge sets) over all k! vertex relabelings,
+    each read entry by entry through ``phi``: new vertex x is old perm[x]."""
+    k = k_type.k
+    return min((tuple(k_type.phi(perm[x], perm[x]) for x in range(k)),
+                tuple(k_type.phi(perm[a], perm[b])
+                      for a, b in itertools.combinations(range(k), 2)))
+               for perm in itertools.permutations(range(k)))
+
+
 def brute_enumerate_types(family, kmax, candidate_ceiling=5_000_000):
     """Admissible types by building every candidate: each admissible type on
     k-1 vertices extended by every vertex set and row of edge sets, tested

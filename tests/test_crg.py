@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import edk
 from edk import ColoredGraph, DiGraph, DirType, PropertyFamily, RType
@@ -16,10 +18,10 @@ from edk.catalog import (
     transitive_tournament,
     triangle,
 )
-from edk.crg import canonical_key, color_set_mask, dir_set_mask
+from edk.crg import canonical_key, canonicalize, color_set_mask, dir_set_mask
 from edk.errors import EnumerationGuardError
-from edk.graphs import BWD, FWD, pair_count
-from oracles import brute_embeds
+from edk.graphs import BWD, FWD, PALETTES, pair_count
+from oracles import brute_canonical_key, brute_embeds
 
 
 def vmask(*colors):
@@ -264,6 +266,39 @@ class TestSubType:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             edk.sub_type(RType(3, (1,), ()), [])
+
+
+@st.composite
+def tied_types(draw):
+    """A type with k <= 5, multicolor with r = 2 or 3 or directed on any
+    palette, whose vertex sets come from a pool of one or two and edge sets
+    from a pool of up to three, so that vertex sets tie and tied vertices
+    often look alike; and a vertex permutation."""
+    if draw(st.booleans()):
+        r = draw(st.sampled_from((2, 3)))
+        full, make = (1 << r) - 1, lambda v, e: RType(r, v, e)  # noqa: E731
+    else:
+        pal = PALETTES[draw(st.sampled_from(sorted(PALETTES)))]
+        full, make = pal.mask, lambda v, e: DirType(pal, v, e)  # noqa: E731
+    choices = [m for m in range(1, full + 1) if not m & ~full]
+    k = draw(st.integers(1, 5))
+    vertex_pool = draw(st.lists(st.sampled_from(choices[:-1]), min_size=1, max_size=2))
+    edge_pool = draw(st.lists(st.sampled_from(choices), min_size=1, max_size=3))
+    vsets = draw(st.lists(st.sampled_from(vertex_pool), min_size=k, max_size=k))
+    esets = draw(st.lists(st.sampled_from(edge_pool), min_size=pair_count(k),
+                          max_size=pair_count(k)))
+    return make(tuple(vsets), tuple(esets)), draw(st.permutations(range(k)))
+
+
+class TestCanonicalKey:
+    @settings(max_examples=250, deadline=None, derandomize=True, database=None)
+    @given(tied_types())
+    def test_against_every_permutation(self, case):
+        t, perm = case
+        key = brute_canonical_key(t)
+        assert canonical_key(t) == key
+        assert canonicalize(t).encoding() == key
+        assert canonical_key(t.permuted(perm)) == key
 
 
 class TestFactOne:

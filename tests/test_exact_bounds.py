@@ -214,6 +214,14 @@ def test_k4_golden(name):
     assert (len(encodings), hashlib.sha256(repr(encodings).encode()).hexdigest()) == K4_GOLDEN[name]
 
 
+def test_k5_family_at_kmax_5():
+    # recorded in the same form at the commit that swept all k! permutations
+    # for each canonical key
+    encodings = [t.encoding() for t in edk.enumerate_types(catalog.k5_family(), 5)]
+    assert (len(encodings), hashlib.sha256(repr(encodings).encode()).hexdigest()) == (
+        5710, "94956a374ed5219aae0a77eeb7ea692a819428989e0d6f200a00ae2d6df1fa87")
+
+
 @pytest.mark.parametrize("family, kmax, ceiling, candidates", [
     (catalog.mono_triangle_family(), 3, 1000, 12480),
     (catalog.two_triangle_family(), 5, 5_000_000, 59471670),

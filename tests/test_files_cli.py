@@ -290,6 +290,19 @@ class TestCliBoundaries:
         assert "--weights for the 1-vertex type 0" in captured.err
         assert reason in captured.err
 
+    def test_one_vertex_graph_normalizes_to_zero(self, capsys, prop_files, tmp_path):
+        graph = tmp_path / "one.graph"
+        assert main(["sample", "--n", "1", "--seed", "1", "--p", "1/3,1/3,1/3",
+                     "--out", str(graph)]) == 0
+        capsys.readouterr()
+        files = ["--property", str(prop_files["rainbow"]), "--graph", str(graph)]
+        assert main(["edit", *files, "--kmax", "1", "--type-index", "0", "--weights", "1",
+                     "--seed", "1", "--trials", "1"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "changes": 0, "normalized": "0", "member": True}
+        assert main(["oracle", *files]) == 0
+        assert json.loads(capsys.readouterr().out)["normalized"] == "0"
+
     def test_worker_count_is_clamped(self, monkeypatch):
         import os
 
