@@ -147,12 +147,23 @@ def _cmd_chi(args):
 
 
 def _cmd_types(args):
+    """Write each type as it is formatted.  The JSON count comes before the
+    types, so only the JSON form holds the list; the text form writes each
+    type as the enumeration yields it, so a guard refusal leaves the levels
+    before it on stdout."""
     family = _read_family(args)
-    types = list(enumerate_types(family, args.kmax, candidate_ceiling=args.ceiling))
+    types = enumerate_types(family, args.kmax, candidate_ceiling=args.ceiling)
+    write = sys.stdout.write
     if args.format == "json":
-        return _emit(args, {"kmax": args.kmax, "count": len(types),
-                            "types": [_type_json(t) for t in types]})
-    print("\n\n".join(_type_text(t) for t in types))
+        types = list(types)
+        write(f'{{"kmax": {args.kmax}, "count": {len(types)}, "types": [')
+        for i, t in enumerate(types):
+            write((", " if i else "") + json.dumps(_type_json(t)))
+        write("]}\n")
+        return 0
+    for i, t in enumerate(types):
+        write(("\n\n" if i else "") + _type_text(t))
+    write("\n")
     return 0
 
 
@@ -281,7 +292,8 @@ def _cmd_sample(args):
         elif pal == "tourn":
             p, q = Fraction(0), Fraction(1, 2)
         else:
-            raise ValueError("non-tournament palettes need --dens 'p,q'")
+            raise UsageError(f"--palette {pal} needs --dens 'p,q': only the tourn palette "
+                             f"has a fixed density")
         dens = DirDensity.of(p, q, pal)
         graph = sample_digraph(args.n, dens, args.seed)
         text = format_graph(graph, pal)

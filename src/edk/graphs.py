@@ -519,9 +519,10 @@ def far_end_states(graph):
     return tuple(range(graph.r + 1))
 
 
-def find_induced(masks, small, banned=None):
+def find_induced(masks, small, banned=None, first=0):
     """The lexicographically least injective image of ``small``'s vertices
-    under which every pair keeps its color exactly, or None.
+    under which every pair keeps its color exactly and vertex 0 maps to
+    ``first`` or above, or None.
 
     ``masks`` are the big graph's :func:`neighborhood_masks`, which hold no
     vertex's own bit.  Vertices are mapped in order and candidates are tried
@@ -531,13 +532,14 @@ def find_induced(masks, small, banned=None):
     branch holds no copy, so the least copy is still the one returned.  The
     last vertex is not branched on: the second-to-last level takes the
     lowest bit of the last candidate set left nonempty.  ``banned[x]``, when
-    given, is a mask of partners that no copy may pair with ``x``.
+    given, is a mask of partners that no copy may pair with ``x``.  ``first``
+    masks only the candidates of vertex 0; the other vertices may map below it.
     """
     n, h = len(masks[0]), small.n
     if h > n:
         return None
     if h < 2:
-        return tuple(range(h))
+        return tuple(range(first, first + h)) if first + h <= n else None
     cols = _later_colors(small)
     image = [0] * h
     last = h - 2
@@ -571,7 +573,7 @@ def find_induced(masks, small, banned=None):
         return False
 
     everyone = (1 << n) - 1
-    return tuple(image) if extend(0, everyone, [everyone] * (h - 1)) else None
+    return tuple(image) if extend(0, everyone >> first << first, [everyone] * (h - 1)) else None
 
 
 @functools.lru_cache(maxsize=64)

@@ -29,6 +29,10 @@ current: a recoloring, and its undo, flips two bits at each end of the pair.
 The copy search and the packing bound read them through the matcher in
 ``graphs``.  The packing starts from the copy the search found and bans the
 pairs of each copy it takes through per-vertex masks of banned partners.
+Banning only removes copies, so the next copy comes from the same forbidden
+graph or a later one, and from the same graph it is lexicographically no
+less than the last: each packing step resumes there, at the last copy's
+first vertex, instead of searching from the start.
 The matcher returns the lexicographically least copy, so the branch order is
 fixed by the input.  An admissible bound never cuts the path to the first
 optimal leaf in that order, so the edit count and the witness do not depend
@@ -82,26 +86,39 @@ def size_guard(family: PropertyFamily) -> int:
     return DEFAULT_GUARD_DIRECTED if family.is_directed else DEFAULT_GUARD_MULTICOLOR
 
 
-def _find_copy(family, masks, banned=None):
-    """Image of the first forbidden graph with an induced copy, or None."""
-    for h in family.forbidden:
-        image = find_induced(masks, h, banned)
+def _find_copy(family, masks, banned=None, start=0, first=0):
+    """``(i, image)`` for the first forbidden graph ``i >= start`` with an
+    induced copy and that copy's least image, or None.  ``first`` bounds
+    ``image[0]`` from below in graph ``start`` only."""
+    forbidden = family.forbidden
+    for i in range(start, len(forbidden)):
+        image = find_induced(masks, forbidden[i], banned, first if i == start else 0)
         if image is not None:
-            return image
+            return i, image
     return None
 
 
-def _greedy_disjoint_bound(family, masks, image):
+def _greedy_disjoint_bound(family, masks, found):
     """Number of pairwise pair-disjoint forbidden copies, packed greedily
-    from the copy ``image``; each needs a change."""
+    from ``found``, a result of :func:`_find_copy`; each copy needs a change.
+
+    Each step takes the least copy, in forbidden-graph order, that avoids the
+    pairs of the copies taken so far.  The banned pairs only grow, so a graph
+    that had no copy at one step has none at the next, and the next copy of
+    the graph just used is a copy at the earlier step too, so it is no less
+    than the one taken and starts at its first vertex or later.  So each step
+    resumes at that graph from ``image[0]``, and the later graphs from 0,
+    and takes the same copy as a search from the start; the last, failing
+    step searches only what is left."""
     banned = [0] * len(masks[0])
     count = 0
-    while image is not None:
+    while found is not None:
+        i, image = found
         count += 1
         verts = sum(1 << x for x in image)
         for x in image:
             banned[x] |= verts
-        image = _find_copy(family, masks, banned)
+        found = _find_copy(family, masks, banned, i, image[0])
     return count
 
 
@@ -128,14 +145,17 @@ def exact_dist(graph, family: PropertyFamily, max_n=None):
         raise SizeGuardError(
             f"exact search guarded at n <= {guard}; pass max_n or set {GUARD_ENV} to override"
         )
+    if family.min_forbidden_order < 2 and graph.n:
+        # a one-vertex copy has no pair to change
+        raise ValueError("no member exists on this vertex count")
     alphabet = family.states
     colors = list(graph.colors)
     masks = neighborhood_masks(graph)
     back = far_end_states(graph)
     ends = list(pairs(graph.n))
     frozen = [False] * len(colors)
-    image = _find_copy(family, masks)
-    root = 0 if image is None else _greedy_disjoint_bound(family, masks, image)
+    found = _find_copy(family, masks)
+    root = 0 if found is None else _greedy_disjoint_bound(family, masks, found)
     witness = None
 
     def move(e, c):
@@ -154,19 +174,19 @@ def exact_dist(graph, family: PropertyFamily, max_n=None):
         nonlocal limit, cut, witness
         if limit is not None and cost > limit:
             return False
-        image = _find_copy(family, masks)
-        if image is None:
+        found = _find_copy(family, masks)
+        if found is None:
             witness = (cost, tuple(colors))
             if cost <= floor:
                 return True
             limit = cost - 1
             return False
         if limit is not None:
-            reach = cost + _greedy_disjoint_bound(family, masks, image)
+            reach = cost + _greedy_disjoint_bound(family, masks, found)
             if reach > limit:
                 cut = reach if cut is None else min(cut, reach)
                 return False
-        copy = [pair_index(graph.n, a, b) for a, b in itertools.combinations(sorted(image), 2)]
+        copy = [pair_index(graph.n, a, b) for a, b in itertools.combinations(sorted(found[1]), 2)]
         newly = []
         for e in copy:
             if frozen[e]:

@@ -35,11 +35,14 @@ def brute_contains_induced(big, small) -> bool:
     return False
 
 
-def brute_first_copy(big, small, banned=frozenset()):
+def brute_first_copy(big, small, banned=frozenset(), first=0):
     """The first injection in ``itertools.permutations`` order that keeps
-    every pair color and uses no pair in ``banned`` (a set of 2-element
-    frozensets of big's vertices), or None."""
+    every pair color, uses no pair in ``banned`` (a set of 2-element
+    frozensets of big's vertices) and maps vertex 0 to ``first`` or above,
+    or None."""
     for verts in itertools.permutations(range(big.n), small.n):
+        if verts and verts[0] < first:
+            continue
         if all(
             small.color(u, v) == big.color(verts[u], verts[v])
             and frozenset((verts[u], verts[v])) not in banned
@@ -47,6 +50,23 @@ def brute_first_copy(big, small, banned=frozenset()):
         ):
             return verts
     return None
+
+
+def brute_greedy_packing(graph, family) -> int:
+    """Copies taken by the greedy packing of pair-disjoint forbidden copies:
+    after each copy its pairs are banned and the search starts again from
+    the first forbidden graph and the first injection."""
+    banned = set()
+    count = 0
+    while True:
+        for small in family.forbidden:
+            verts = brute_first_copy(graph, small, banned)
+            if verts is not None:
+                break
+        else:
+            return count
+        count += 1
+        banned.update(frozenset(p) for p in itertools.combinations(verts, 2))
 
 
 def entrywise_graph_block(graph) -> str:

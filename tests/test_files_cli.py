@@ -391,6 +391,15 @@ class TestCliErrorKinds:
         assert code == 0
         assert capsys.readouterr().out.startswith("directed palette=tourn\n")
 
+    @pytest.mark.parametrize("pal", ["full", "compl", "orien", "undir"])
+    def test_sample_palette_without_dens_names_the_flag(self, capsys, pal):
+        code = main(["sample", "--n", "5", "--seed", "1", "--palette", pal])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (f"error: --palette {pal} needs --dens 'p,q': only the tourn "
+                                f"palette has a fixed density\n")
+
     def test_density_that_does_not_sum_to_one_stays_a_domain_error(self, capsys, prop_files):
         code = main(["distfn", "--property", str(prop_files["rainbow"]), "--kmax", "1",
                      "--p", "1/2,1/3,0"])

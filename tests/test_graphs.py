@@ -285,14 +285,30 @@ class TestMatcher:
     @given(big_and_small(), st.data())
     def test_banned_pairs_match_filtered_brute_force(self, graphs, data):
         big, small = graphs
-        all_pairs = list(itertools.combinations(range(big.n), 2))
-        chosen = data.draw(st.lists(st.sampled_from(all_pairs), max_size=6)) if all_pairs else []
-        banned = [0] * big.n
-        for x, y in chosen:
-            banned[x] |= 1 << y
-            banned[y] |= 1 << x
-        expected = brute_first_copy(big, small, {frozenset(p) for p in chosen})
+        chosen, banned = draw_banned(data, big.n)
+        expected = brute_first_copy(big, small, chosen)
         assert find_induced(neighborhood_masks(big), small, banned) == expected
+
+    @MATCHER_SETTINGS
+    @given(big_and_small(), st.data())
+    def test_first_vertex_bound_matches_filtered_brute_force(self, graphs, data):
+        big, small = graphs
+        first = data.draw(st.integers(0, big.n))
+        chosen, banned = draw_banned(data, big.n) if data.draw(st.booleans()) else (set(), None)
+        expected = brute_first_copy(big, small, chosen, first)
+        assert find_induced(neighborhood_masks(big), small, banned, first) == expected
+
+
+def draw_banned(data, n):
+    """Up to six pairs of n vertices, as a set of pairs and as the matcher's
+    per-vertex masks of banned partners."""
+    all_pairs = list(itertools.combinations(range(n), 2))
+    chosen = data.draw(st.lists(st.sampled_from(all_pairs), max_size=6)) if all_pairs else []
+    banned = [0] * n
+    for x, y in chosen:
+        banned[x] |= 1 << y
+        banned[y] |= 1 << x
+    return {frozenset(p) for p in chosen}, banned
 
 
 class TestMembership:

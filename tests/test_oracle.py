@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import edk
 from edk import ColoredGraph, DensityVector, DiGraph, DirDensity, RType
 from edk.catalog import (
+    bichromatic_triangles_family,
     both_triangles_family,
     cyclic_triangle_family,
     k5_family,
@@ -21,15 +22,24 @@ from edk.catalog import (
     rainbow_triangle_family,
     transitive_triangle_family,
     two_mono_triangles_family,
+    two_triangle_family,
 )
 from edk.errors import SizeGuardError
 from edk.editing import sample_partition
-from edk.graphs import PALETTES, pair_count
-from edk.oracle import estimate_dist, exact_dist, sample_digraph, sample_rgraph
-from oracles import brute_exact_dist
+from edk.graphs import PALETTES, mirror, neighborhood_masks, pair_count
+from edk.oracle import (
+    _find_copy,
+    _greedy_disjoint_bound,
+    estimate_dist,
+    exact_dist,
+    sample_digraph,
+    sample_rgraph,
+)
+from oracles import brute_exact_dist, brute_greedy_packing
 
 F = Fraction
 TOURN_POINT = DirDensity.of(0, F(1, 2), "tourn")
+FULL_POINT = DirDensity.of(F(1, 4), F(1, 4), "full")
 
 
 class TestExactDist:
@@ -112,6 +122,13 @@ class TestExactDist:
         assert edk.is_member(witness, fam)
         with pytest.raises(ValueError, match="no member exists"):
             exact_dist(ColoredGraph.complete(6, 2, 1), fam)
+
+    def test_one_vertex_forbidden_graph_leaves_no_member(self):
+        # every vertex is a copy and no recoloring removes it
+        fam = edk.PropertyFamily.multicolor(2, [ColoredGraph(1, 2, ())])
+        with pytest.raises(ValueError, match="no member exists"):
+            exact_dist(ColoredGraph.complete(3, 2, 1), fam)
+        assert exact_dist(ColoredGraph(0, 2, ()), fam)[0] == 0
 
     def test_graph_outside_the_palette_is_refused(self):
         # a two-way triangle holds no single arc, but the tourn palette has
@@ -204,6 +221,69 @@ def test_exact_dist_matches_full_enumeration(case):
     assert edits == expected
     assert edk.is_member(witness, family)
     assert edk.hamming(g, witness) == edits
+
+
+# family, density and the largest n whose exact search stays in milliseconds;
+# the bichromatic family's search passes a second per graph at n = 7
+PACKING_CASES = {
+    "rainbow": (rainbow_triangle_family(), DensityVector.uniform(3), 7),
+    "two": (two_triangle_family(), DensityVector.uniform(3), 7),
+    "bichrom": (bichromatic_triangles_family(), DensityVector.uniform(3), 5),
+    "both-full": (both_triangles_family("full"), FULL_POINT, 7),
+}
+
+
+def sampled(family, dens, n, seed):
+    return (sample_digraph if family.is_directed else sample_rgraph)(n, dens, seed)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(PACKING_CASES)), st.integers(2, 8), st.integers(0, 10**6))
+def test_greedy_packing_matches_restarted_brute_force(name, n, seed):
+    family, dens, _ = PACKING_CASES[name]
+    g = sampled(family, dens, n, seed)
+    masks = neighborhood_masks(g)
+    found = _find_copy(family, masks)
+    got = 0 if found is None else _greedy_disjoint_bound(family, masks, found)
+    assert got == brute_greedy_packing(g, family)
+
+
+INVARIANT_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+class TestExactInvariants:
+    """The edit count depends on the graph only up to the symmetries of the
+    property: the witnesses may differ, since the branch order follows the
+    labels."""
+
+    @INVARIANT_SETTINGS
+    @given(st.sampled_from(sorted(PACKING_CASES)), st.integers(0, 10**6), st.data())
+    def test_vertex_relabelling(self, name, seed, data):
+        family, dens, top = PACKING_CASES[name]
+        n = data.draw(st.integers(3, top))
+        g = sampled(family, dens, n, seed)
+        perm = data.draw(st.permutations(range(n)))
+        assert exact_dist(g.permuted(perm), family)[0] == exact_dist(g, family)[0]
+
+    @INVARIANT_SETTINGS
+    @given(st.sampled_from(["rainbow", "bichrom"]), st.integers(0, 10**6), st.data())
+    def test_color_permutation(self, name, seed, data):
+        family, dens, top = PACKING_CASES[name]
+        n = data.draw(st.integers(3, top))
+        g = sampled(family, dens, n, seed)
+        perm = data.draw(st.permutations((1, 2, 3)))
+        recolored = ColoredGraph(n, 3, tuple(perm[c - 1] for c in g.colors))
+        assert exact_dist(recolored, family)[0] == exact_dist(g, family)[0]
+
+    @INVARIANT_SETTINGS
+    @given(st.sampled_from([("tourn", TOURN_POINT), ("full", FULL_POINT)]),
+           st.integers(3, 7), st.integers(0, 10**6))
+    def test_arc_reversal(self, pal_dens, n, seed):
+        pal, dens = pal_dens
+        family = cyclic_triangle_family(pal)
+        g = sample_digraph(n, dens, seed)
+        reversed_arcs = DiGraph(n, tuple(mirror(c) for c in g.colors))
+        assert exact_dist(reversed_arcs, family)[0] == exact_dist(g, family)[0]
 
 
 class TestSamplers:
