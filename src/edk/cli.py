@@ -148,17 +148,17 @@ def _cmd_chi(args):
 
 def _cmd_types(args):
     """Write each type as it is formatted.  The JSON count comes before the
-    types, so only the JSON form holds the list; the text form writes each
-    type as the enumeration yields it, so a guard refusal leaves the levels
-    before it on stdout."""
+    types, so the JSON form holds the formatted types, not the type objects;
+    the text form writes each type as the enumeration yields it, so a guard
+    refusal leaves the levels before it on stdout."""
     family = _read_family(args)
     types = enumerate_types(family, args.kmax, candidate_ceiling=args.ceiling)
     write = sys.stdout.write
     if args.format == "json":
-        types = list(types)
-        write(f'{{"kmax": {args.kmax}, "count": {len(types)}, "types": [')
-        for i, t in enumerate(types):
-            write((", " if i else "") + json.dumps(_type_json(t)))
+        items = [json.dumps(_type_json(t)) for t in types]
+        write(f'{{"kmax": {args.kmax}, "count": {len(items)}, "types": [')
+        for i, item in enumerate(items):
+            write((", " if i else "") + item)
         write("]}\n")
         return 0
     for i, t in enumerate(types):

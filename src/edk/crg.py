@@ -433,5 +433,10 @@ def enumerate_types(family: PropertyFamily, kmax: int,
             for vs, needs in zip(vertex_choices, choice_needs):
                 rows = _free_rows(needs, edge_choices, k - 1)
                 seen.update(_child_keys(flat, parent.vertex_sets, vs, rows, mirror))
-        level = [make(key[:k], key[k:]) for key in sorted(seen)]
+        keys = sorted(seen)
+        del seen
+        # the last level has no children, so its types are built as they are yielded
+        level = (make(key[:k], key[k:]) for key in keys)
+        if k < kmax:
+            level = list(level)
         yield from level

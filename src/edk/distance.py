@@ -36,9 +36,23 @@ matrix is that table indexed by its mask table, and f depends on a type only
 through its vertex count and how many ordered pairs of its table hold each
 color: its shape, counted once per type list.  Scaling M by a positive
 constant changes neither the minimizing weights nor the order of the values,
-so the results are the Fractions the per-type matrices would give.  ``m_matrix``, ``f_value``, ``quad_form``,
-``UpperCertificate.recompute`` and ``check_certificate`` stay on Fractions:
-``check_certificate`` re-verifies an upper bound from its certificate alone.
+so the results are the Fractions the per-type matrices would give.
+``m_matrix``, ``f_value``, ``quad_form``, ``UpperCertificate.recompute`` and
+``check_certificate`` stay on Fractions: ``check_certificate`` re-verifies an
+upper bound from its certificate alone.
+
+The maximum and the grids range over one density domain per family, read
+off its pair states by ``_domain``.  States that share one mass form a
+class: each colour, or, filtered by the palette, no arc, both arcs and the
+two arc directions together.  One class takes the mass the others leave,
+and every other class's mass is a reduced variable, so the domain is the
+variables at least 0 whose left-over mass is at least 0.  A multicolour
+family leaves it to its last colour, so that p_1..p_{r-1} are the
+variables and the grids and ties run in the order of p_1, p_2, ..; a
+directed family leaves it to its palette's first class, which gives (p, q)
+for ``full``, q for ``compl`` and ``orien``, p for ``undir`` and no
+variable for ``tourn``.  f is affine in the variables, so maximizing the
+least f over types is one linear program for both arities.
 """
 
 from __future__ import annotations
@@ -86,11 +100,8 @@ def m_matrix(k_type, dens):
     """Entry (x, y) is one minus the density mass of the colors the type
     allows on that pair: bit c-1 carries p_c, or, for a directed type, bit c
     carries the density of pair code c (each arc direction q)."""
-    if isinstance(dens, DirDensity):
-        if k_type.palette != dens.palette:
-            raise ValueError("density palette does not match the type")
-    elif k_type.r != dens.r:
-        raise ValueError("density length does not match the type")
+    if (k_type.r, k_type.palette) != (dens.r, dens.palette):
+        raise ValueError("the density does not have the type's colors")
     entry = _mask_entries(dens.masses).__getitem__
     return tuple(tuple(map(entry, row)) for row in k_type.table)
 
@@ -198,12 +209,8 @@ def _g_result(k, scale, support, sol):
 
 
 def _check_density(family, dens):
-    if family.is_directed:
-        if not isinstance(dens, DirDensity) or dens.palette != family.palette:
-            raise ValueError("expected a DirDensity for this palette")
-    else:
-        if not isinstance(dens, DensityVector) or dens.r != family.r:
-            raise ValueError(f"expected a DensityVector with r={family.r}")
+    if (dens.r, dens.palette) != (family.r, family.palette):
+        raise ValueError("the density does not have the family's colors")
 
 
 def _type_list(family, kmax, types, **kwargs):
@@ -299,46 +306,59 @@ def dist_lower_turan(family: PropertyFamily) -> DistBound:
     return DistBound(value, "lower", None, {"chi_strong": chi, "color_classes": classes})
 
 
+_Domain = collections.namedtuple("_Domain", "den base rows sizes public density")
+
+
+def _domain(family):
+    """The family's density domain (see the module docstring): the state
+    masses, in ``masses`` bit order, are (base + rows . x) / den for reduced
+    variables x >= 0 with sum sizes_j x_j <= 1, the left-over mass at least
+    0.  Ties go to the least masses at the ``public`` bits, in order, and
+    ``density`` builds the density from the masses."""
+    if family.is_directed:
+        classes = [c for c in ((NONEDGE,), (BIEDGE,), (FWD, BWD)) if c[0] in family.palette]
+        rest, public, bits = classes.pop(0), (BIEDGE, FWD), len(DIR_CODES)
+
+        def density(masses):
+            return DirDensity(masses[BIEDGE], masses[FWD], family.palette)
+    else:
+        classes = [(bit,) for bit in range(family.r)]
+        rest, public, bits, density = classes.pop(), range(family.r - 1), family.r, DensityVector
+    den = len(rest)
+    rows = tuple(tuple(den if bit in c else -len(c) if bit in rest else 0 for c in classes)
+                 for bit in range(bits))
+    base = tuple(int(bit in rest) for bit in range(bits))
+    return _Domain(den, base, rows, tuple(map(len, classes)), public, density)
+
+
+def _domain_point(dom, nums, n):
+    """The density at which the reduced variables are ``nums`` / n."""
+    scale = n * dom.den
+    return dom.density(tuple(Fraction(n * b + sum(map(operator.mul, nums, row)), scale)
+                             for b, row in zip(dom.base, dom.rows)))
+
+
 def _affine_forms(family, shapes):
     """Deduped affine descriptions of f per type shape (see ``_shapes``), as
     (constant, coefficients) over the reduced density variables of the
-    arity, with the forms that another form is pointwise no larger than
+    domain, with the forms that another form is pointwise no larger than
     dropped.
 
     f = 1 - sum_c counts[c] mass_c / k^2, so one form serves every type
     with the same (k, counts).  Forms are built as integers over the least
-    common multiple of the k^2, doubled for directed families so that the
-    tournament's q = 1/2 stays integral, and become Fractions only once the
-    dominated ones are dropped.
+    common multiple of the k^2 times the domain's denominator, and become
+    Fractions only once the dominated ones are dropped.
     """
-    directed = family.is_directed
+    dom = _domain(family)
+    columns = list(zip(*dom.rows))
     shapes = dict.fromkeys(shapes)
-    den = math.lcm(*(k * k for k, _ in shapes)) * (2 if directed else 1)
+    lcm = math.lcm(*(k * k for k, _ in shapes))
+    den = lcm * dom.den
     forms = {}
     for k, counts in shapes:
-        unit = den // (k * k)
-        if not directed:
-            # over p_1..p_{r-1}; p_r substituted
-            last = counts[-1]
-            const, coefs = den - last * unit, tuple((last - c) * unit for c in counts[:-1])
-        else:
-            none, both = counts[NONEDGE], counts[BIEDGE]
-            # f = c0 + cp * p + cq * q
-            c0 = den - none * unit
-            cp = (none - both) * unit
-            cq = (2 * none - counts[FWD] - counts[BWD]) * unit
-            kind = family.palette.kind
-            if kind == "full":
-                const, coefs = c0, (cp, cq)
-            elif kind == "compl":
-                const, coefs = c0 + cp, (cq - 2 * cp,)
-            elif kind == "orien":
-                const, coefs = c0, (cq,)
-            elif kind == "undir":
-                const, coefs = c0, (cp,)
-            else:  # tourn: no free variables
-                const, coefs = c0 + cq // 2, ()
-        forms[(const, coefs)] = None
+        unit = lcm // (k * k)
+        forms[(den - unit * sum(map(operator.mul, counts, dom.base)),
+               tuple(-unit * sum(map(operator.mul, counts, col)) for col in columns))] = None
     # Drop forms implied by a pointwise smaller one over the nonnegative
     # domain.  Such a form comes earlier in lexicographic order, and so does
     # an undominated form below it, so each form is tested against the
@@ -352,79 +372,32 @@ def _affine_forms(family, shapes):
             for c0, cf in forms if (c0, cf) in keep]
 
 
-def _lp_setup(family):
-    """Reduced variables, domain rows and tie-break signs for the arity.
-
-    Tie-break signs encode lexicographic minimization of the full density
-    vector through the reduction.
-    """
-    if not family.is_directed:
-        nvars = family.r - 1
-        domain = [([ONE] * nvars, ONE)] if nvars else []
-        signs = [-1] * nvars
-        return nvars, domain, signs
-    kind = family.palette.kind
-    if kind == "full":
-        return 2, [([ONE, Fraction(2)], ONE)], [-1, -1]
-    if kind == "compl":
-        return 1, [([Fraction(2)], ONE)], [1]  # p = 1 - 2q; min p means max q
-    if kind in ("orien", "undir"):
-        return 1, [([Fraction(2 if kind == "orien" else 1)], ONE)], [-1]
-    return 0, [], []  # tourn
-
-
-def _density_from_vars(family, x):
-    if not family.is_directed:
-        rest = ONE - sum(x, ZERO)
-        return DensityVector(tuple(x) + (rest,))
-    kind = family.palette.kind
-    if kind == "full":
-        return DirDensity(x[0], x[1], family.palette)
-    if kind == "compl":
-        return DirDensity(ONE - 2 * x[0], x[0], family.palette)
-    if kind == "orien":
-        return DirDensity(ZERO, x[0], family.palette)
-    if kind == "undir":
-        return DirDensity(x[0], ZERO, family.palette)
-    return DirDensity(ZERO, Fraction(1, 2), family.palette)
-
-
 def dist_max_upper(family: PropertyFamily, kmax: int, types=None, **kwargs):
     """Maximize min-over-types f over the density domain.
 
     f is affine in the densities, so this is an exact linear program; the
     result upper-bounds the maximum of the edit distance function.  Ties are
-    broken toward the lexicographically smallest density vector.  Returns
-    (bound, maximizing density).
+    broken toward the lexicographically smallest density: p_1, p_2, .. for
+    a multicolour family, p then q for a directed one.  Returns (bound,
+    maximizing density).
     """
     types = _type_list(family, kmax, types, **kwargs)
     shapes = _shapes(family, types)
-    forms = _affine_forms(family, shapes)
-    nvars, domain, signs = _lp_setup(family)
-
-    if nvars == 0:
-        dens = _density_from_vars(family, ())
-        return _f_bound(dens, kmax, types, shapes), dens
-
-    rows = []
-    rhs = []
-    for const, coefs in forms:
-        rows.append([-c for c in coefs] + [ONE])  # t - f(y) <= const
+    dom = _domain(family)
+    rows, rhs = [], []
+    for const, coefs in _affine_forms(family, shapes):
+        rows.append([-c for c in coefs] + [ONE])  # t - f(x) <= const
         rhs.append(const)
-    for drow, dval in domain:
-        rows.append(list(drow) + [ZERO])
-        rhs.append(dval)
-
-    depth = nvars + 1
-    objectives = []
-    for i in range(nvars):
-        vec = [ZERO] * depth
-        vec[i + 1] = Fraction(signs[i])
-        objectives.append(tuple(vec))
-    objectives.append((ONE,) + (ZERO,) * nvars)  # t comes last
+    rows.append([*dom.sizes, 0])
+    rhs.append(ONE)
+    # t first, then each public coordinate, as a linear function of x, minimized
+    objectives = [(0, *(-col[bit] for bit in dom.public)) for col in zip(*dom.rows)]
+    objectives.append((1,) + (0,) * len(dom.public))
 
     x, value = simplex_max_lex(rows, rhs, objectives)
-    dens = _density_from_vars(family, x[:nvars])
+    x = x[:-1]
+    n = math.lcm(*(v.denominator for v in x))
+    dens = _domain_point(dom, [v.numerator * (n // v.denominator) for v in x], n)
     bound = _f_bound(dens, kmax, types, shapes)
     if bound.value != value[0]:
         raise AssertionError("linear program value does not recompute")
@@ -481,32 +454,24 @@ def symmetric_bound(family: PropertyFamily) -> Fraction:
 
 
 def _grid_points(family, step: Fraction):
+    """The densities whose reduced variables are multiples of the step,
+    in lexicographic order of the variables."""
     if step <= 0 or (1 / step).denominator != 1:
         raise ValueError("grid step must be positive and divide 1")
     n = (1 / step).numerator
-    if not family.is_directed:
-        r = family.r
-        for combo in itertools.combinations(range(n + r - 1), r - 1):
-            cuts = (-1,) + combo + (n + r - 1,)
-            parts = tuple(cuts[i + 1] - cuts[i] - 1 for i in range(r))
-            yield DensityVector(tuple(Fraction(a, n) for a in parts))
+    dom = _domain(family)
+    return (_domain_point(dom, nums, n) for nums in _lattice(dom.sizes, n))
+
+
+def _lattice(sizes, budget):
+    """Every tuple a >= 0 of integers with sum sizes_j a_j <= budget, in
+    lexicographic order."""
+    if not sizes:
+        yield ()
         return
-    kind = family.palette.kind
-    if kind == "tourn":
-        yield DirDensity(ZERO, Fraction(1, 2), family.palette)
-    elif kind == "compl":
-        for j in range(n // 2 + 1):
-            yield DirDensity(Fraction(n - 2 * j, n), Fraction(j, n), family.palette)
-    elif kind == "orien":
-        for j in range(n // 2 + 1):
-            yield DirDensity(ZERO, Fraction(j, n), family.palette)
-    elif kind == "undir":
-        for i in range(n + 1):
-            yield DirDensity(Fraction(i, n), ZERO, family.palette)
-    else:
-        for i in range(n + 1):
-            for j in range((n - i) // 2 + 1):
-                yield DirDensity(Fraction(i, n), Fraction(j, n), family.palette)
+    for a in range(budget // sizes[0] + 1):
+        for rest in _lattice(sizes[1:], budget - sizes[0] * a):
+            yield (a, *rest)
 
 
 def distfn_grid(family: PropertyFamily, kmax: int, step, types=None, **kwargs):

@@ -314,6 +314,8 @@ class DensityVector:
 
     entries: tuple
 
+    palette = None
+
     def __post_init__(self):
         total = Fraction(0)
         for p in self.entries:
@@ -358,14 +360,18 @@ class DensityVector:
 class DirDensity:
     """Directed densities: p for both-way pairs, q shared by each arc direction.
 
-    The remaining mass 1 - p - 2q is the no-arc density.  Each palette
-    constrains the pair: ``compl`` forces p + 2q = 1, ``orien`` forces p = 0,
-    ``undir`` forces q = 0 and ``tourn`` pins (p, q) = (0, 1/2).
+    The remaining mass 1 - p - 2q is the no-arc density.  A palette allows
+    only densities with no mass on the states it leaves out: so ``compl``
+    forces p + 2q = 1, ``orien`` p = 0, ``undir`` q = 0, and ``tourn`` pins
+    (p, q) = (0, 1/2).  ``r = 0``, as on :class:`DiGraph`, so that densities
+    of both arities compare by ``(r, palette)``.
     """
 
     p: Fraction
     q: Fraction
     palette: Palette
+
+    r = 0
 
     def __post_init__(self):
         p, q = self.p, self.q
@@ -373,15 +379,10 @@ class DirDensity:
             raise ValueError("densities must be Fractions")
         if p < 0 or q < 0 or p + 2 * q > 1:
             raise ValueError("need p >= 0, q >= 0 and p + 2q <= 1")
-        kind = self.palette.kind
-        if kind == "compl" and p + 2 * q != 1:
-            raise ValueError("compl palette needs p + 2q = 1")
-        if kind in ("orien", "tourn") and p != 0:
-            raise ValueError(f"{kind} palette needs p = 0")
-        if kind == "undir" and q != 0:
-            raise ValueError("undir palette needs q = 0")
-        if kind == "tourn" and q != Fraction(1, 2):
-            raise ValueError("tourn palette needs q = 1/2")
+        outside = [DIR_SYMBOL[c] for c, m in enumerate(self.masses) if m and c not in self.palette]
+        if outside:
+            raise ValueError(f"{self.palette.kind} palette needs zero density on "
+                             + " and ".join(outside))
 
     @classmethod
     def of(cls, p, q, pal):

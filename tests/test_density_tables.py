@@ -1,6 +1,7 @@
 """The exact bounds on integer density tables: dist_upper, dist_upper_f and
 the affine forms of f against the Fraction-matrix references in
-tests/oracles.py, and a digest of the bounds recorded before the tables."""
+tests/oracles.py, a digest of the bounds recorded before the tables, and a
+digest of the density domain of every arity and palette."""
 
 import hashlib
 from fractions import Fraction
@@ -12,9 +13,10 @@ from hypothesis import strategies as st
 import edk
 from edk import catalog
 from edk.distance import _affine_forms, _shapes, dist_upper_f
-from edk.graphs import BIEDGE, FWD, NONEDGE
+from edk.graphs import BIEDGE, FWD, NONEDGE, DiGraph
 from oracles import brute_affine_forms, brute_dist_upper, brute_dist_upper_f
 from test_exact_bounds import CEILING, interior_points, small_families
+from test_type_model import catalog_families
 
 # Masses with mixed, large denominators; zero is drawn often so that
 # boundary densities, where some colour or pair state has no mass, occur.
@@ -211,6 +213,47 @@ BOUNDS_GOLDEN = (416, "f673413d91388f58705b1df8a0484f0da701ef7837aa233f7b1cba33d
 def test_bounds_golden():
     results = bounds_results()
     assert (len(results), hashlib.sha256(repr(results).encode()).hexdigest()) == BOUNDS_GOLDEN
+
+
+def domain_results():
+    """Per family at kmax 2: the affine forms of f, dist_max_upper (value,
+    argmax, certificate type) and distfn_grid at steps 1/4, 1/6 and 1/7.
+    The families are the 20 catalog families, the monochromatic triangle at
+    r=2 and r=4, the empty triangle under the undir palette, and a compl
+    family whose maximum is reached on a segment, so that the tie-break
+    decides the argmax; every palette and three multicolour arities are
+    read.  A family without types is recorded as such."""
+    families = catalog_families()
+    families["mono-r2"] = catalog.mono_triangle_family(2)
+    families["mono-r4"] = catalog.mono_triangle_family(4)
+    families["empty-undir"] = edk.PropertyFamily.directed("undir", [DiGraph(3, (NONEDGE,) * 3)])
+    # both-way triangle, and a both-way pair whose ends each send an arc to a third vertex
+    families["compl-tie"] = edk.PropertyFamily.directed(
+        "compl", [DiGraph(3, (BIEDGE,) * 3), DiGraph(3, (BIEDGE, FWD, FWD))])
+    out = []
+    for name, family in families.items():
+        types = list(edk.enumerate_types(family, 2))
+        if not types:
+            out.append(("no types", name))
+            continue
+        out.append(("affine_forms", name, _affine_forms(family, _shapes(family, types))))
+        bound, argmax = edk.dist_max_upper(family, 2, types)
+        out.append(("dist_max_upper", name, bound.value, _point(argmax),
+                    bound.certificate.crg_type.encoding()))
+        for step in (Fraction(1, 4), Fraction(1, 6), Fraction(1, 7)):
+            rows = edk.distfn_grid(family, 2, step, types)
+            out.append(("distfn_grid", name, step, [(_point(d), v) for d, v in rows]))
+    return out
+
+
+# Recorded while each arity and palette spelled out its own variables, domain
+# and grid: the count and the sha256 of the repr of ``domain_results()``.
+DOMAIN_GOLDEN = (112, "70d2a39cda71dbe9a5412371cc77d9e96f53d2fb8ed3bf76969c99f26fbb6e49")
+
+
+def test_domain_golden():
+    results = domain_results()
+    assert (len(results), hashlib.sha256(repr(results).encode()).hexdigest()) == DOMAIN_GOLDEN
 
 
 def test_types_of_another_arity_are_refused():

@@ -389,14 +389,14 @@ class TestDensityTypes:
 
     def test_dir_density_palette_constraints(self):
         DirDensity.of(0, Fraction(1, 2), "tourn")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^tourn palette needs zero density on o$"):
             DirDensity.of(0, Fraction(1, 3), "tourn")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^compl palette needs zero density on o$"):
             DirDensity.of(Fraction(1, 4), Fraction(1, 4), "compl")
         DirDensity.of(Fraction(1, 2), Fraction(1, 4), "compl")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^orien palette needs zero density on -$"):
             DirDensity.of(Fraction(1, 4), Fraction(1, 4), "orien")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^undir palette needs zero density on > and <$"):
             DirDensity.of(Fraction(1, 4), Fraction(1, 4), "undir")
 
     def test_family_validation(self):
