@@ -15,28 +15,42 @@ packing of pair-disjoint forbidden copies gives an admissible lower bound.
 
 The search runs in deepening rounds (IDA*).  The first limit is the packing
 bound at the root.  A round cuts every node whose cost plus bound passes the
-limit and stops at its first leaf; when it finds none, the next limit is the
-least cost plus bound it cut.  No limit passes the optimum, so that leaf is
-optimal.  Deepening pays when members exist on every vertex count, which
-holds when the family has an admissible one-vertex type (the level-1 test
-of ``enumerate_types``).  A family without one has members of bounded size
-only; on a larger graph no round finds a leaf, so each round would repeat
-the whole search.  Such a family gets one round without a limit, which
-lowers the limit below each leaf it finds (branch and bound).
+limit and stops at its first leaf.  A node only asks whether its bound
+passes the limit less its cost, so below the root the packing stops as soon
+as it holds more copies than that, and a cut node reaches the limit plus
+one.  So a round that finds no leaf raises the limit by one, and no limit
+passes the optimum: the leaf found is optimal.  Deepening pays when members
+exist on every vertex count, which holds when the family has an admissible
+one-vertex type (the level-1 test of ``enumerate_types``).  A family
+without one has members of bounded size only; on a larger graph no round
+finds a leaf, so each round would repeat the whole search.  Such a family
+gets one round without a limit, which lowers the limit below each leaf it
+finds (branch and bound).
 
 The working colors' neighborhood bitmasks are built once per call and kept
 current: a recoloring, and its undo, flips two bits at each end of the pair.
 The copy search and the packing bound read them through the matcher in
-``graphs``.  The packing starts from the copy the search found and bans the
-pairs of each copy it takes through per-vertex masks of banned partners.
-Banning only removes copies, so the next copy comes from the same forbidden
-graph or a later one, and from the same graph it is lexicographically no
-less than the last: each packing step resumes there, at the last copy's
-first vertex, instead of searching from the start.
+``graphs``.  The packing bans the pairs of each copy it takes through
+per-vertex masks of banned partners.  Banning only removes copies, so the
+next copy comes from the same forbidden graph or a later one, and from the
+same graph it is lexicographically no less than the last: each packing step
+resumes there, at the last copy's first vertex, instead of searching from
+the start.
+
+A child recolors one pair of its parent, so the copies of the parent's
+packing that do not hold both its ends are still pair-disjoint copies in
+the child.  A node packs from those first, then on from the least copy the
+search found; often the inherited copies alone prove the cut.  When they do
+not, the node also packs afresh from the least copy, since the seeded
+packing can be the smaller; the larger of the two is the node's bound and
+passes to its children (the seeded one on a tie).
+
 The matcher returns the lexicographically least copy, so the branch order is
-fixed by the input.  An admissible bound never cuts the path to the first
+fixed by the input.  Both packings hold pair-disjoint copies of the current
+colors, so the bound is admissible at every node although it now depends on
+the path there.  An admissible bound never cuts the path to the first
 optimal leaf in that order, so the edit count and the witness do not depend
-on the limits.
+on the limits or on which packing a node kept.
 """
 
 from __future__ import annotations
@@ -98,28 +112,46 @@ def _find_copy(family, masks, banned=None, start=0, first=0):
     return None
 
 
-def _greedy_disjoint_bound(family, masks, found):
-    """Number of pairwise pair-disjoint forbidden copies, packed greedily
-    from ``found``, a result of :func:`_find_copy`; each copy needs a change.
+def _greedy_disjoint_bound(family, masks, found, cap=None, seeds=()):
+    """The ``seeds``, pair-disjoint copies, then forbidden copies packed
+    greedily from ``found``, the least copy as given by :func:`_find_copy`.
+    No two copies share a pair and each needs a change, so their number
+    bounds the distance.
 
     Each step takes the least copy, in forbidden-graph order, that avoids the
-    pairs of the copies taken so far.  The banned pairs only grow, so a graph
-    that had no copy at one step has none at the next, and the next copy of
-    the graph just used is a copy at the earlier step too, so it is no less
-    than the one taken and starts at its first vertex or later.  So each step
-    resumes at that graph from ``image[0]``, and the later graphs from 0,
-    and takes the same copy as a search from the start; the last, failing
-    step searches only what is left."""
+    pairs of the copies taken so far: ``found`` itself when no seed holds two
+    of its vertices.  The banned pairs only grow, so a graph that had no copy
+    at an earlier step has none now, and a copy of the graph of the last copy
+    taken (or of ``found``) was a copy then too, so it is no less than that
+    copy and starts at its first vertex or later.  So each search resumes at
+    that graph from ``image[0]``, and the later graphs from 0, and takes the
+    same copy as a search from the start; the last, failing search covers
+    only what is left.
+
+    With a ``cap``, the packing stops as soon as it holds more than ``cap``
+    copies, which is all a caller that cuts there needs to know."""
     banned = [0] * len(masks[0])
-    count = 0
-    while found is not None:
-        i, image = found
-        count += 1
+    packed = []
+
+    def take(image):
+        packed.append(image)
         verts = sum(1 << x for x in image)
         for x in image:
             banned[x] |= verts
-        found = _find_copy(family, masks, banned, i, image[0])
-    return count
+
+    for image in seeds:
+        take(image)
+    i, image = found
+    known = not any(banned[x] >> y & 1 for x, y in itertools.combinations(image, 2))
+    while cap is None or len(packed) <= cap:
+        if not known:
+            found = _find_copy(family, masks, banned, i, image[0])
+            if found is None:
+                break
+            i, image = found
+        take(image)
+        known = False
+    return packed
 
 
 @functools.lru_cache(maxsize=64)
@@ -155,7 +187,7 @@ def exact_dist(graph, family: PropertyFamily, max_n=None):
     ends = list(pairs(graph.n))
     frozen = [False] * len(colors)
     found = _find_copy(family, masks)
-    root = 0 if found is None else _greedy_disjoint_bound(family, masks, found)
+    root = 0 if found is None else len(_greedy_disjoint_bound(family, masks, found))
     witness = None
 
     def move(e, c):
@@ -168,9 +200,10 @@ def exact_dist(graph, family: PropertyFamily, max_n=None):
         masks[back[old]][b] ^= 1 << a
         masks[back[c]][b] ^= 1 << a
 
-    def search(cost):
-        """Depth first below the current colors.  True once the witness is
-        known to be optimal; the colors and masks are then left as they are."""
+    def search(cost, seeds):
+        """Depth first below the current colors, ``seeds`` being copies left
+        intact from the parent's packing.  True once the witness is known to
+        be optimal; the colors and masks are then left as they are."""
         nonlocal limit, cut, witness
         if limit is not None and cost > limit:
             return False
@@ -181,10 +214,16 @@ def exact_dist(graph, family: PropertyFamily, max_n=None):
                 return True
             limit = cost - 1
             return False
+        packed = ()
         if limit is not None:
-            reach = cost + _greedy_disjoint_bound(family, masks, found)
-            if reach > limit:
-                cut = reach if cut is None else min(cut, reach)
+            cap = limit - cost
+            packed = _greedy_disjoint_bound(family, masks, found, cap, seeds)
+            if seeds and len(packed) <= cap:
+                fresh = _greedy_disjoint_bound(family, masks, found, cap)
+                if len(fresh) > len(packed):
+                    packed = fresh
+            if len(packed) > cap:
+                cut = True
                 return False
         copy = [pair_index(graph.n, a, b) for a, b in itertools.combinations(sorted(found[1]), 2)]
         newly = []
@@ -194,10 +233,12 @@ def exact_dist(graph, family: PropertyFamily, max_n=None):
             frozen[e] = True
             newly.append(e)
             orig = colors[e]
+            a, b = ends[e]
+            kept = [image for image in packed if a not in image or b not in image]
             for c in alphabet:
                 if c != orig:
                     move(e, c)
-                    if search(cost + 1):
+                    if search(cost + 1, kept):
                         return True
             move(e, orig)
         for e in newly:
@@ -209,10 +250,10 @@ def exact_dist(graph, family: PropertyFamily, max_n=None):
     deepen = _members_on_every_order(family)
     limit = root if deepen else None
     while True:
-        floor, cut = (limit if deepen else root), None
-        if search(0) or not deepen or cut is None:
+        floor, cut = (limit if deepen else root), False
+        if search(0, ()) or not deepen or not cut:
             break
-        limit = cut
+        limit += 1
     if witness is None:
         raise ValueError("no member exists on this vertex count")
     return witness[0], replace(graph, colors=witness[1])

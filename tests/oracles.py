@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import minimize
 
-from edk.crg import DirType, RType, canonical_key, in_admissible_set
+from edk.crg import DirType, RType, in_admissible_set
 from edk.distance import f_value, m_matrix, quad_form
 from edk.errors import EnumerationGuardError
 from edk.graphs import BWD, FWD, ColoredGraph, DensityVector, DiGraph, DirDensity, pair_count
@@ -52,20 +52,22 @@ def brute_first_copy(big, small, banned=frozenset(), first=0):
     return None
 
 
-def brute_greedy_packing(graph, family) -> int:
-    """Copies taken by the greedy packing of pair-disjoint forbidden copies:
-    after each copy its pairs are banned and the search starts again from
-    the first forbidden graph and the first injection."""
-    banned = set()
-    count = 0
+def brute_seeded_packing(graph, family, seeds=()):
+    """The greedy packing of pair-disjoint forbidden copies after ``seeds``,
+    pair-disjoint copies taken first: the seeds' pairs are banned, and after
+    each copy taken its pairs are banned too and the search starts again
+    from the first forbidden graph and the first injection.  Returns the
+    seeds and then the copies taken, each as its vertex tuple."""
+    packed = list(seeds)
+    banned = {frozenset(p) for verts in packed for p in itertools.combinations(verts, 2)}
     while True:
         for small in family.forbidden:
             verts = brute_first_copy(graph, small, banned)
             if verts is not None:
                 break
         else:
-            return count
-        count += 1
+            return packed
+        packed.append(verts)
         banned.update(frozenset(p) for p in itertools.combinations(verts, 2))
 
 
@@ -287,6 +289,40 @@ def brute_exact_dist(graph, family, alphabet) -> int:
     return best
 
 
+def brute_branch_witness(graph, family, edits):
+    """The first member at ``edits`` recolorings or fewer in the exact
+    search's branch order, found with no bound: at each coloring take the
+    first copy (forbidden graphs in order, then ``brute_first_copy``), and
+    for each of its pairs in sorted vertex order that no enclosing level
+    holds frozen, try each other state in increasing order; the pair stays
+    frozen for the rest of that copy's pairs and everything below.  None
+    when no member is that close."""
+    frozen = set()
+
+    def search(g, cost):
+        copy = next((verts for small in family.forbidden
+                     if (verts := brute_first_copy(g, small)) is not None), None)
+        if copy is None:
+            return g
+        if cost == edits:
+            return None
+        newly = []
+        for a, b in itertools.combinations(sorted(copy), 2):
+            if (a, b) in frozen:
+                continue
+            frozen.add((a, b))
+            newly.append((a, b))
+            for c in family.states:
+                if c != g.color(a, b):
+                    found = search(g.recolored(a, b, c), cost + 1)
+                    if found is not None:
+                        return found
+        frozen.difference_update(newly)
+        return None
+
+    return search(graph, 0)
+
+
 def min_transitive_partition(t: DiGraph) -> int:
     """Fewest parts of a tournament with every part transitive, by trying
     every assignment."""
@@ -443,7 +479,8 @@ def brute_canonical_key(k_type):
 def brute_enumerate_types(family, kmax, candidate_ceiling=5_000_000):
     """Admissible types by building every candidate: each admissible type on
     k-1 vertices extended by every vertex set and row of edge sets, tested
-    in full with ``in_admissible_set`` and deduplicated by canonical key;
+    in full with ``in_admissible_set`` and deduplicated by
+    ``brute_canonical_key``;
     ordered by vertex count, then encoding."""
     full = family.full_mask
     edge_choices = [m for m in range(1, full + 1) if not m & ~full]
@@ -470,7 +507,7 @@ def brute_enumerate_types(family, kmax, candidate_ceiling=5_000_000):
                              for a, b in itertools.combinations(range(k), 2)]
                     cand = make(parent.vertex_sets + (vs,), esets)
                     if in_admissible_set(cand, family):
-                        key = canonical_key(cand)
+                        key = brute_canonical_key(cand)
                         seen.setdefault(key, make(*key))
         level = sorted(seen.values(), key=lambda t: t.encoding())
         out += level

@@ -1,13 +1,14 @@
 """Exact distance search, samplers, and Monte Carlo estimation."""
 
 import hashlib
+import itertools
 import os
 import random
 import statistics
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import edk
@@ -35,7 +36,7 @@ from edk.oracle import (
     sample_digraph,
     sample_rgraph,
 )
-from oracles import brute_exact_dist, brute_greedy_packing
+from oracles import brute_branch_witness, brute_exact_dist, brute_seeded_packing
 
 F = Fraction
 TOURN_POINT = DirDensity.of(0, F(1, 2), "tourn")
@@ -182,6 +183,27 @@ def test_witnesses_golden():
     assert digest.hexdigest() == GOLDEN_DIGEST
 
 
+# sha256 of the same lines at n = 10, the size the cyclic-tourn benchmark
+# runs at: rainbow and cyclic-tourn seeds 0-7, two-triangle seeds 1000-1003;
+# recorded before the packing bound was capped and seeded with the copies
+# of the parent node's packing
+N10_DIGEST = "0b47d5c072a0ae763d1ef6083e620d763b043e43c4c1c19f5a0bfba6ed8d9519"
+N10_CASES = [
+    ("rainbow", rainbow_triangle_family(), DensityVector.uniform(3), range(8)),
+    ("cyclic-tourn", cyclic_triangle_family("tourn"), TOURN_POINT, range(8)),
+    ("two-triangle", two_triangle_family(), DensityVector.uniform(3), range(1000, 1004)),
+]
+
+
+def test_witnesses_golden_n10():
+    digest = hashlib.sha256()
+    for name, fam, dens, seeds in N10_CASES:
+        for seed in seeds:
+            edits, witness = exact_dist(sampled(fam, dens, 10, seed), fam, max_n=10)
+            digest.update(f"{name} 10 {seed} {edits} {''.join(map(str, witness.colors))}\n".encode())
+    assert digest.hexdigest() == N10_DIGEST
+
+
 @st.composite
 def exact_cases(draw):
     """A family of one or two forbidden graphs on 2 or 3 vertices (r = 2,
@@ -210,6 +232,15 @@ def exact_cases(draw):
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(exact_cases())
+# a graph whose first optimal leaf lies below a node where a stale copy, one
+# through the pair just recolored, would have been counted in the bound
+@example((edk.PropertyFamily.multicolor(2, [ColoredGraph(3, 2, (1, 1, 1)),
+                                            ColoredGraph(3, 2, (1, 1, 2))]),
+          ColoredGraph(5, 2, (2, 1, 1, 2, 2, 1, 2, 1, 1, 2))))
+# members of bounded size only (one round, no deepening), and an optimum one
+# recoloring below the first leaf found
+@example((edk.PropertyFamily.directed("compl", [DiGraph(2, (1,)), DiGraph(3, (3, 3, 2))]),
+          DiGraph(3, (2, 1, 1))))
 def test_exact_dist_matches_full_enumeration(case):
     family, g = case
     expected = brute_exact_dist(g, family, family.states)
@@ -221,6 +252,8 @@ def test_exact_dist_matches_full_enumeration(case):
     assert edits == expected
     assert edk.is_member(witness, family)
     assert edk.hamming(g, witness) == edits
+    # no admissible bound cuts the path to the first optimal leaf
+    assert witness == brute_branch_witness(g, family, edits)
 
 
 # family, density and the largest n whose exact search stays in milliseconds;
@@ -244,8 +277,41 @@ def test_greedy_packing_matches_restarted_brute_force(name, n, seed):
     g = sampled(family, dens, n, seed)
     masks = neighborhood_masks(g)
     found = _find_copy(family, masks)
-    got = 0 if found is None else _greedy_disjoint_bound(family, masks, found)
-    assert got == brute_greedy_packing(g, family)
+    got = [] if found is None else _greedy_disjoint_bound(family, masks, found)
+    assert got == brute_seeded_packing(g, family)
+
+
+def assert_packing(graph, family, packed):
+    """Each copy is an induced copy of a forbidden graph, and no two copies
+    share a pair."""
+    for image in packed:
+        assert any(h.n == len(image) and all(h.color(u, v) == graph.color(image[u], image[v])
+                                             for u, v in itertools.combinations(range(h.n), 2))
+                   for h in family.forbidden)
+    held = [frozenset(p) for image in packed for p in itertools.combinations(image, 2)]
+    assert len(held) == len(set(held))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(PACKING_CASES)), st.integers(3, 8), st.integers(0, 10**6),
+       st.data())
+def test_seeded_capped_packing_matches_restarted_brute_force(name, n, seed, data):
+    # seeds: a random subset, in random order, of the full greedy packing,
+    # as a child inherits them; caps at which a node could be cut
+    family, dens, _ = PACKING_CASES[name]
+    g = sampled(family, dens, n, seed)
+    masks = neighborhood_masks(g)
+    found = _find_copy(family, masks)
+    assume(found is not None)
+    seeds = data.draw(st.lists(st.sampled_from(brute_seeded_packing(g, family)), unique=True))
+    full = brute_seeded_packing(g, family, seeds)
+    got = _greedy_disjoint_bound(family, masks, found, seeds=seeds)
+    assert got == full
+    assert_packing(g, family, got)
+    cap = data.draw(st.integers(max(len(seeds) - 1, 0), len(full)))
+    capped = _greedy_disjoint_bound(family, masks, found, cap, seeds)
+    assert len(capped) == min(len(full), cap + 1)
+    assert_packing(g, family, capped)
 
 
 INVARIANT_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
