@@ -520,10 +520,9 @@ def far_end_states(graph):
     return tuple(range(graph.r + 1))
 
 
-def find_induced(masks, small, banned=None, first=0):
+def find_induced(masks, small, banned=None, every=None):
     """The lexicographically least injective image of ``small``'s vertices
-    under which every pair keeps its color exactly and vertex 0 maps to
-    ``first`` or above, or None.
+    under which every pair keeps its color exactly, or None.
 
     ``masks`` are the big graph's :func:`neighborhood_masks`, which hold no
     vertex's own bit.  Vertices are mapped in order and candidates are tried
@@ -533,14 +532,18 @@ def find_induced(masks, small, banned=None, first=0):
     branch holds no copy, so the least copy is still the one returned.  The
     last vertex is not branched on: the second-to-last level takes the
     lowest bit of the last candidate set left nonempty.  ``banned[x]``, when
-    given, is a mask of partners that no copy may pair with ``x``.  ``first``
-    masks only the candidates of vertex 0; the other vertices may map below it.
+    given, is a mask of partners that no copy may pair with ``x``.  With a
+    list ``every``, the search appends every image to it in lexicographic
+    order instead, and returns None.
     """
     n, h = len(masks[0]), small.n
     if h > n:
         return None
     if h < 2:
-        return tuple(range(first, first + h)) if first + h <= n else None
+        if every is None:
+            return tuple(range(h))
+        every.extend(itertools.permutations(range(n), h))
+        return None
     cols = _later_colors(small)
     image = [0] * h
     last = h - 2
@@ -557,8 +560,14 @@ def find_induced(masks, small, banned=None, first=0):
                 if ends and banned:
                     ends &= ~banned[x]
                 if ends:
-                    image[v], image[v + 1] = x, (ends & -ends).bit_length() - 1
-                    return True
+                    if every is None:
+                        image[v], image[v + 1] = x, (ends & -ends).bit_length() - 1
+                        return True
+                    head = (*image[:v], x)
+                    while ends:
+                        end = ends & -ends
+                        every.append(head + (end.bit_length() - 1,))
+                        ends ^= end
                 cand ^= low
             return False
         colors = cols[v]
@@ -567,14 +576,15 @@ def find_induced(masks, small, banned=None, first=0):
             x = low.bit_length() - 1
             keep = ~banned[x] if banned else -1
             nxt = [d & masks[c][x] & keep for d, c in zip(later, colors)]
-            if all(nxt) and extend(v + 1, nxt[0], nxt[1:]):
+            if all(nxt):
                 image[v] = x
-                return True
+                if extend(v + 1, nxt[0], nxt[1:]):
+                    return True
             cand ^= low
         return False
 
     everyone = (1 << n) - 1
-    return tuple(image) if extend(0, everyone >> first << first, [everyone] * (h - 1)) else None
+    return tuple(image) if extend(0, everyone, [everyone] * (h - 1)) else None
 
 
 @functools.lru_cache(maxsize=64)

@@ -10,53 +10,53 @@ under the two arities' names.
 The exact search finds one induced forbidden copy, then branches on giving
 each of its pairs each different allowed color; some pair of any copy must
 change in every solution, so the search is complete.  Branched pairs freeze
-along a branch, which removes overlap between sibling subtrees, and a greedy
-packing of pair-disjoint forbidden copies gives an admissible lower bound.
+along a branch, which removes overlap between sibling subtrees.  The bound
+at a node is the least number of unfrozen pairs that meet every forbidden
+copy of its colors, a hitting set: each copy needs a change, and only its
+unfrozen pairs may change below the node.  A copy on frozen pairs only
+makes the node dead.
 
-The search runs in deepening rounds (IDA*).  The first limit is the packing
-bound at the root.  A round cuts every node whose cost plus bound passes the
-limit and stops at its first leaf.  A node only asks whether its bound
-passes the limit less its cost, so below the root the packing stops as soon
-as it holds more copies than that, and a cut node reaches the limit plus
-one.  So a round that finds no leaf raises the limit by one, and no limit
-passes the optimum: the leaf found is optimal.  Deepening pays when members
-exist on every vertex count, which holds when the family has an admissible
+The search runs in deepening rounds (IDA*).  The first limit is the root's
+bound.  A round cuts every node whose cost plus bound passes the limit and
+stops at its first leaf.  A node only asks whether some hitting set fits
+within the limit less its cost, so a cut node reaches the limit plus one.
+So a round that finds no leaf raises the limit by one, and no limit passes
+the optimum: the leaf found is optimal.  Deepening pays when members exist
+on every vertex count, which holds when the family has an admissible
 one-vertex type (the level-1 test of ``enumerate_types``).  A family
 without one has members of bounded size only; on a larger graph no round
 finds a leaf, so each round would repeat the whole search.  Such a family
 gets one round without a limit, which lowers the limit below each leaf it
-finds (branch and bound).
+finds (branch and bound); it solves no hitting set at the root, where its
+floor is a greedy packing of pair-disjoint copies.
 
 The working colors' neighborhood bitmasks are built once per call and kept
 current: a recoloring, and its undo, flips two bits at each end of the pair.
-The copy search and the packing bound read them through the matcher in
-``graphs``.  The packing bans the pairs of each copy it takes through
-per-vertex masks of banned partners.  Banning only removes copies, so the
-next copy comes from the same forbidden graph or a later one, and from the
-same graph it is lexicographically no less than the last: each packing step
-resumes there, at the last copy's first vertex, instead of searching from
-the start.
-
-A child recolors one pair of its parent, so the copies of the parent's
-packing that do not hold both its ends are still pair-disjoint copies in
-the child.  A node packs from those first, then on from the least copy the
-search found; often the inherited copies alone prove the cut.  When they do
-not, the node also packs afresh from the least copy, since the seeded
-packing can be the smaller; the larger of the two is the node's bound and
-passes to its children (the seeded one on a tie).
+The copy search reads them through the matcher in ``graphs``.  A copy is
+held as the mask of its pairs' indices, and the root lists all of them.  A
+node knows its least copy and the copies its parent knew that its
+recoloring left intact.  It solves a hitting set of those by bit
+operations, then asks the matcher for a copy that avoids the set's pairs,
+banned through per-vertex masks of partners.  A copy found joins the known
+ones and the set is solved again, until none is found or none fits (the
+implicit hitting set method of Moreno-Centeno and Karp).  So the node
+reads the least hitting set of all its copies while the matcher finds only
+the few that a set misses, and its children inherit them.
 
 The matcher returns the lexicographically least copy, so the branch order is
-fixed by the input.  Both packings hold pair-disjoint copies of the current
-colors, so the bound is admissible at every node although it now depends on
-the path there.  An admissible bound never cuts the path to the first
-optimal leaf in that order, so the edit count and the witness do not depend
-on the limits or on which packing a node kept.
+fixed by the input.  Any change set that reaches a member below a node
+changes an unfrozen pair of every copy there, so the bound is admissible at
+every node although the copies a node knows depend on the path there.  An
+admissible bound never cuts the path to the first optimal leaf in that
+order, so the edit count and the witness do not depend on the limits or on
+which copies a node knew.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import os
 import random
 import statistics
@@ -100,58 +100,97 @@ def size_guard(family: PropertyFamily) -> int:
     return DEFAULT_GUARD_DIRECTED if family.is_directed else DEFAULT_GUARD_MULTICOLOR
 
 
-def _find_copy(family, masks, banned=None, start=0, first=0):
-    """``(i, image)`` for the first forbidden graph ``i >= start`` with an
-    induced copy and that copy's least image, or None.  ``first`` bounds
-    ``image[0]`` from below in graph ``start`` only."""
-    forbidden = family.forbidden
-    for i in range(start, len(forbidden)):
-        image = find_induced(masks, forbidden[i], banned, first if i == start else 0)
+def _find_copy(family, masks, banned=None):
+    """The least image of the first forbidden graph with an induced copy
+    that uses no banned pair, or None."""
+    for small in family.forbidden:
+        image = find_induced(masks, small, banned)
         if image is not None:
-            return i, image
+            return image
     return None
 
 
-def _greedy_disjoint_bound(family, masks, found, cap=None, seeds=()):
-    """The ``seeds``, pair-disjoint copies, then forbidden copies packed
-    greedily from ``found``, the least copy as given by :func:`_find_copy`.
-    No two copies share a pair and each needs a change, so their number
-    bounds the distance.
+def _packing(copies, cap=None):
+    """How many of the pair masks ``copies`` a greedy pass takes pairwise
+    disjoint: each needs a pair of its own, so this bounds their least
+    hitting set.  With a ``cap``, the pass stops at ``cap + 1``."""
+    taken = count = 0
+    for mask in copies:
+        if not mask & taken:
+            if count == cap:
+                return count + 1
+            taken |= mask
+            count += 1
+    return count
 
-    Each step takes the least copy, in forbidden-graph order, that avoids the
-    pairs of the copies taken so far: ``found`` itself when no seed holds two
-    of its vertices.  The banned pairs only grow, so a graph that had no copy
-    at an earlier step has none now, and a copy of the graph of the last copy
-    taken (or of ``found``) was a copy then too, so it is no less than that
-    copy and starts at its first vertex or later.  So each search resumes at
-    that graph from ``image[0]``, and the later graphs from 0, and takes the
-    same copy as a search from the start; the last, failing search covers
-    only what is left.
 
-    With a ``cap``, the packing stops as soon as it holds more than ``cap``
-    copies, which is all a caller that cuts there needs to know."""
-    banned = [0] * len(masks[0])
-    packed = []
+def _hitting_set(copies, budget):
+    """A mask of at most ``budget`` pairs that meets every pair mask in
+    ``copies``, or None.  Some pair of the first mask is in any such set:
+    branch on each, highest bit first, over the masks it misses.  A pair
+    whose branch failed is in no set within the budget, so the later
+    branches drop it from every mask; with a budget of one, the set is the
+    highest pair common to all the masks, which is what the branches find."""
+    if _packing(copies, budget) > budget:
+        return None
+    if not copies:
+        return 0
+    if budget == 1:
+        common = functools.reduce(operator.and_, copies)
+        return 1 << (common.bit_length() - 1) if common else None
+    first, keep = copies[0], -1
+    while first:
+        pair = 1 << (first.bit_length() - 1)
+        hit = _hitting_set([mask & keep for mask in copies if not mask & pair], budget - 1)
+        if hit is not None:
+            return hit | pair
+        first ^= pair
+        keep ^= pair
+    return None
 
-    def take(image):
-        packed.append(image)
-        verts = sum(1 << x for x in image)
-        for x in image:
-            banned[x] |= verts
 
-    for image in seeds:
-        take(image)
-    i, image = found
-    known = not any(banned[x] >> y & 1 for x, y in itertools.combinations(image, 2))
-    while cap is None or len(packed) <= cap:
-        if not known:
-            found = _find_copy(family, masks, banned, i, image[0])
-            if found is None:
-                break
-            i, image = found
-        take(image)
-        known = False
-    return packed
+def _passes(family, masks, known, frozen, budget, ends):
+    """True when some ``budget`` unfrozen pairs or fewer meet every forbidden
+    copy of the current colors.  Otherwise False, or None when what shows it
+    is a copy on frozen pairs only, which no recoloring below the node
+    removes.
+
+    ``known`` holds the pair masks of some copies.  A hitting set of them is
+    tried against the rest through the matcher, with its pairs banned: a copy
+    found joins ``known`` and the set is solved again.  So only the copies
+    that a hitting set misses are ever found, and the least hitting set of
+    all the copies is what the answer reads."""
+    while True:
+        live = [mask & ~frozen for mask in known]
+        if 0 in live:
+            return None
+        hit = _hitting_set(live, budget)
+        if hit is None:
+            return False
+        banned = [0] * len(masks[0])
+        while hit:
+            pair = hit & -hit
+            a, b = ends[pair.bit_length() - 1]
+            banned[a] |= 1 << b
+            banned[b] |= 1 << a
+            hit ^= pair
+        image = _find_copy(family, masks, banned)
+        if image is None:
+            return True
+        known.append(_pair_mask(image, len(masks[0])))
+
+
+def _pair_mask(image, n):
+    """The pairs of a copy's vertices as a mask of pair indices."""
+    bit = _pair_bits(n)
+    return sum(bit[a][b] for a, b in itertools.combinations(image, 2))
+
+
+@functools.lru_cache(maxsize=16)
+def _pair_bits(n):
+    """``bit[a][b]``: the mask of the pair {a, b} alone."""
+    return tuple(tuple(1 << pair_index(n, a, b) if a != b else 0 for b in range(n))
+                 for a in range(n))
 
 
 @functools.lru_cache(maxsize=64)
@@ -185,9 +224,15 @@ def exact_dist(graph, family: PropertyFamily, max_n=None):
     masks = neighborhood_masks(graph)
     back = far_end_states(graph)
     ends = list(pairs(graph.n))
-    frozen = [False] * len(colors)
-    found = _find_copy(family, masks)
-    root = 0 if found is None else len(_greedy_disjoint_bound(family, masks, found))
+    frozen = 0
+    images = []
+    for small in family.forbidden:
+        find_induced(masks, small, every=images)
+    copies = list(dict.fromkeys(_pair_mask(image, graph.n) for image in images))
+    root = _packing(copies)
+    deepen = _members_on_every_order(family)
+    while deepen and _hitting_set(copies, root) is None:
+        root += 1
     witness = None
 
     def move(e, c):
@@ -200,11 +245,12 @@ def exact_dist(graph, family: PropertyFamily, max_n=None):
         masks[back[old]][b] ^= 1 << a
         masks[back[c]][b] ^= 1 << a
 
-    def search(cost, seeds):
-        """Depth first below the current colors, ``seeds`` being copies left
-        intact from the parent's packing.  True once the witness is known to
-        be optimal; the colors and masks are then left as they are."""
-        nonlocal limit, cut, witness
+    def search(cost, inherited):
+        """Depth first below the current colors, ``inherited`` being the
+        pair masks of copies that the parent knew and this node's recoloring
+        left intact.  True once the witness is known to be optimal; the
+        colors and masks are then left as they are."""
+        nonlocal limit, cut, witness, frozen
         if limit is not None and cost > limit:
             return False
         found = _find_copy(family, masks)
@@ -214,44 +260,36 @@ def exact_dist(graph, family: PropertyFamily, max_n=None):
                 return True
             limit = cost - 1
             return False
-        packed = ()
+        copy = _pair_mask(found, graph.n)
+        known = [copy, *inherited]
         if limit is not None:
-            cap = limit - cost
-            packed = _greedy_disjoint_bound(family, masks, found, cap, seeds)
-            if seeds and len(packed) <= cap:
-                fresh = _greedy_disjoint_bound(family, masks, found, cap)
-                if len(fresh) > len(packed):
-                    packed = fresh
-            if len(packed) > cap:
-                cut = True
+            passes = _passes(family, masks, known, frozen, limit - cost, ends)
+            if not passes:
+                cut = cut or passes is False
                 return False
-        copy = [pair_index(graph.n, a, b) for a, b in itertools.combinations(sorted(found[1]), 2)]
-        newly = []
-        for e in copy:
-            if frozen[e]:
-                continue
-            frozen[e] = True
-            newly.append(e)
+        newly = todo = copy & ~frozen
+        while todo:
+            pair = todo & -todo
+            todo ^= pair
+            frozen |= pair
+            e = pair.bit_length() - 1
             orig = colors[e]
-            a, b = ends[e]
-            kept = [image for image in packed if a not in image or b not in image]
+            kept = [mask for mask in known if not mask & pair]
             for c in alphabet:
                 if c != orig:
                     move(e, c)
                     if search(cost + 1, kept):
                         return True
             move(e, orig)
-        for e in newly:
-            frozen[e] = False
+        frozen &= ~newly
         return False
 
     # A leaf at or below ``floor`` is optimal: a deepening limit never passes
     # the optimum, and neither does the root bound.
-    deepen = _members_on_every_order(family)
     limit = root if deepen else None
     while True:
         floor, cut = (limit if deepen else root), False
-        if search(0, ()) or not deepen or not cut:
+        if search(0, copies) or not deepen or not cut:
             break
         limit += 1
     if witness is None:

@@ -35,40 +35,37 @@ def brute_contains_induced(big, small) -> bool:
     return False
 
 
-def brute_first_copy(big, small, banned=frozenset(), first=0):
+def brute_first_copy(big, small, banned=frozenset()):
     """The first injection in ``itertools.permutations`` order that keeps
-    every pair color, uses no pair in ``banned`` (a set of 2-element
-    frozensets of big's vertices) and maps vertex 0 to ``first`` or above,
-    or None."""
+    every pair color and uses no pair in ``banned`` (a set of 2-element
+    frozensets of big's vertices), or None."""
+    return next(_copies(big, small, banned), None)
+
+
+def brute_all_copies(big, small, banned=frozenset()):
+    """Every such injection, in ``itertools.permutations`` order."""
+    return list(_copies(big, small, banned))
+
+
+def _copies(big, small, banned):
     for verts in itertools.permutations(range(big.n), small.n):
-        if verts and verts[0] < first:
-            continue
         if all(
             small.color(u, v) == big.color(verts[u], verts[v])
             and frozenset((verts[u], verts[v])) not in banned
             for u, v in itertools.combinations(range(small.n), 2)
         ):
-            return verts
+            yield verts
+
+
+def brute_min_hitting_set(sets):
+    """The fewest elements that meet every one of ``sets``, by trying every
+    combination of their elements, smallest first; None when one is empty."""
+    elements = sorted(set().union(*sets))
+    for size in range(len(elements) + 1):
+        if any(all(s & set(chosen) for s in sets)
+               for chosen in itertools.combinations(elements, size)):
+            return size
     return None
-
-
-def brute_seeded_packing(graph, family, seeds=()):
-    """The greedy packing of pair-disjoint forbidden copies after ``seeds``,
-    pair-disjoint copies taken first: the seeds' pairs are banned, and after
-    each copy taken its pairs are banned too and the search starts again
-    from the first forbidden graph and the first injection.  Returns the
-    seeds and then the copies taken, each as its vertex tuple."""
-    packed = list(seeds)
-    banned = {frozenset(p) for verts in packed for p in itertools.combinations(verts, 2)}
-    while True:
-        for small in family.forbidden:
-            verts = brute_first_copy(graph, small, banned)
-            if verts is not None:
-                break
-        else:
-            return packed
-        packed.append(verts)
-        banned.update(frozenset(p) for p in itertools.combinations(verts, 2))
 
 
 def entrywise_graph_block(graph) -> str:

@@ -29,6 +29,7 @@ from edk.catalog import (
 from edk.files import format_graph_block
 from edk.graphs import PALETTES, find_induced, neighborhood_masks, pair_count
 from oracles import (
+    brute_all_copies,
     brute_contains_induced,
     brute_first_copy,
     brute_is_member,
@@ -291,12 +292,23 @@ class TestMatcher:
 
     @MATCHER_SETTINGS
     @given(big_and_small(), st.data())
-    def test_first_vertex_bound_matches_filtered_brute_force(self, graphs, data):
+    def test_every_copy_matches_filtered_brute_force(self, graphs, data):
         big, small = graphs
-        first = data.draw(st.integers(0, big.n))
         chosen, banned = draw_banned(data, big.n) if data.draw(st.booleans()) else (set(), None)
-        expected = brute_first_copy(big, small, chosen, first)
-        assert find_induced(neighborhood_masks(big), small, banned, first) == expected
+        every = []
+        assert find_induced(neighborhood_masks(big), small, banned, every) is None
+        assert every == brute_all_copies(big, small, chosen)
+
+    # automorphic forbidden graphs: each vertex set holds several images
+    @pytest.mark.parametrize("big, small", [
+        (ColoredGraph.complete(5, 2, 1), mono_triangle(2, 1)),
+        (DiGraph.from_arcs(4, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 2)]), cyclic_triangle()),
+    ])
+    def test_every_copy_of_an_automorphic_graph(self, big, small):
+        every = []
+        find_induced(neighborhood_masks(big), small, every=every)
+        assert every == brute_all_copies(big, small)
+        assert len(every) > len({frozenset(v) for v in every})
 
 
 def draw_banned(data, n):

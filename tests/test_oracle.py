@@ -8,7 +8,7 @@ import statistics
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import edk
@@ -27,16 +27,21 @@ from edk.catalog import (
 )
 from edk.errors import SizeGuardError
 from edk.editing import sample_partition
-from edk.graphs import PALETTES, mirror, neighborhood_masks, pair_count
+from edk.graphs import PALETTES, mirror, neighborhood_masks, pair_count, pair_index
 from edk.oracle import (
-    _find_copy,
-    _greedy_disjoint_bound,
+    _hitting_set,
+    _passes,
     estimate_dist,
     exact_dist,
     sample_digraph,
     sample_rgraph,
 )
-from oracles import brute_branch_witness, brute_exact_dist, brute_seeded_packing
+from oracles import (
+    brute_all_copies,
+    brute_branch_witness,
+    brute_exact_dist,
+    brute_min_hitting_set,
+)
 
 F = Fraction
 TOURN_POINT = DirDensity.of(0, F(1, 2), "tourn")
@@ -256,9 +261,9 @@ def test_exact_dist_matches_full_enumeration(case):
     assert witness == brute_branch_witness(g, family, edits)
 
 
-# family, density and the largest n whose exact search stays in milliseconds;
-# the bichromatic family's search passes a second per graph at n = 7
-PACKING_CASES = {
+# family, density and the largest n at which the invariance tests run each
+# search twice per example and stay in milliseconds
+SEARCH_CASES = {
     "rainbow": (rainbow_triangle_family(), DensityVector.uniform(3), 7),
     "two": (two_triangle_family(), DensityVector.uniform(3), 7),
     "bichrom": (bichromatic_triangles_family(), DensityVector.uniform(3), 5),
@@ -270,48 +275,77 @@ def sampled(family, dens, n, seed):
     return (sample_digraph if family.is_directed else sample_rgraph)(n, dens, seed)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(st.sampled_from(sorted(PACKING_CASES)), st.integers(2, 8), st.integers(0, 10**6))
-def test_greedy_packing_matches_restarted_brute_force(name, n, seed):
-    family, dens, _ = PACKING_CASES[name]
-    g = sampled(family, dens, n, seed)
-    masks = neighborhood_masks(g)
-    found = _find_copy(family, masks)
-    got = [] if found is None else _greedy_disjoint_bound(family, masks, found)
-    assert got == brute_seeded_packing(g, family)
+# sha256 of the lines "seed edits witness-colors" for the six two-colour
+# triangles at n = 7 (10, 12 and 11 edits), recorded before the bound became
+# a least hitting set: graphs whose optimum lies far above the number of
+# pair-disjoint copies they hold
+BICHROMATIC_N7_DIGEST = "cb0d67d7be6c8a1f4206cae4baa6f70ef4dcee84d20e9ce6ba89d12493a84cce"
 
 
-def assert_packing(graph, family, packed):
-    """Each copy is an induced copy of a forbidden graph, and no two copies
-    share a pair."""
-    for image in packed:
-        assert any(h.n == len(image) and all(h.color(u, v) == graph.color(image[u], image[v])
-                                             for u, v in itertools.combinations(range(h.n), 2))
-                   for h in family.forbidden)
-    held = [frozenset(p) for image in packed for p in itertools.combinations(image, 2)]
-    assert len(held) == len(set(held))
+def test_witnesses_pinned_bichromatic_n7():
+    digest = hashlib.sha256()
+    family = bichromatic_triangles_family()
+    for seed in (700, 701, 703):
+        edits, witness = exact_dist(sample_rgraph(7, DensityVector.uniform(3), seed), family)
+        digest.update(f"{seed} {edits} {''.join(map(str, witness.colors))}\n".encode())
+    assert digest.hexdigest() == BICHROMATIC_N7_DIGEST
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(st.sampled_from(sorted(PACKING_CASES)), st.integers(3, 8), st.integers(0, 10**6),
+@pytest.mark.parametrize("family", [transitive_triangle_family("tourn"),
+                                    both_triangles_family("tourn")])
+def test_bounded_family_solves_no_hitting_set_before_its_first_leaf(family, monkeypatch):
+    # no tournament on four or more vertices is a member, and a family with
+    # members of bounded size runs no deepening round, so no root limit is
+    # solved for: that took seconds per graph at n = 10
+    def refuse(copies, budget):
+        raise AssertionError("hitting set solved")
+
+    monkeypatch.setattr(edk.oracle, "_hitting_set", refuse)
+    for seed in range(3):
+        with pytest.raises(ValueError, match="no member exists"):
+            exact_dist(sample_digraph(10, TOURN_POINT, seed), family, max_n=10)
+
+
+def as_sets(masks):
+    return [frozenset(i for i in range(mask.bit_length()) if mask >> i & 1) for mask in masks]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(0, 2**10 - 1), max_size=8), st.integers(0, 5))
+def test_hitting_set_matches_brute_force(masks, budget):
+    hit = _hitting_set(masks, budget)
+    least = brute_min_hitting_set(as_sets(masks))
+    assert (hit is not None) == (least is not None and least <= budget)
+    if hit is not None:
+        assert hit.bit_count() <= budget
+        assert all(mask & hit for mask in masks)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(SEARCH_CASES)), st.integers(3, 6), st.integers(0, 10**6),
        st.data())
-def test_seeded_capped_packing_matches_restarted_brute_force(name, n, seed, data):
-    # seeds: a random subset, in random order, of the full greedy packing,
-    # as a child inherits them; caps at which a node could be cut
-    family, dens, _ = PACKING_CASES[name]
+def test_node_test_matches_brute_force(name, n, seed, data):
+    # a node's colors, frozen pairs and known copies (a random subset of the
+    # copies, as a node inherits them): the lazy test must read every copy
+    family, dens, _ = SEARCH_CASES[name]
     g = sampled(family, dens, n, seed)
-    masks = neighborhood_masks(g)
-    found = _find_copy(family, masks)
-    assume(found is not None)
-    seeds = data.draw(st.lists(st.sampled_from(brute_seeded_packing(g, family)), unique=True))
-    full = brute_seeded_packing(g, family, seeds)
-    got = _greedy_disjoint_bound(family, masks, found, seeds=seeds)
-    assert got == full
-    assert_packing(g, family, got)
-    cap = data.draw(st.integers(max(len(seeds) - 1, 0), len(full)))
-    capped = _greedy_disjoint_bound(family, masks, found, cap, seeds)
-    assert len(capped) == min(len(full), cap + 1)
-    assert_packing(g, family, capped)
+    ends = list(itertools.combinations(range(n), 2))
+    copies = [frozenset(itertools.combinations(sorted(verts), 2))
+              for small in family.forbidden for verts in brute_all_copies(g, small)]
+    frozen = set(data.draw(st.lists(st.sampled_from(ends), max_size=4)))
+    chosen = data.draw(st.lists(st.sampled_from(copies), max_size=4)) if copies else []
+    known = [pair_mask(n, copy) for copy in chosen]
+    budget = data.draw(st.integers(0, 6))
+    got = _passes(family, neighborhood_masks(g), known, pair_mask(n, frozen), budget, ends)
+    live = [copy - frozen for copy in copies]
+    dead = not all(live)
+    assert bool(got) == (not dead and brute_min_hitting_set(live) <= budget)
+    assert got is not None or dead
+    assert set(known) <= {pair_mask(n, copy) for copy in copies}
+
+
+def pair_mask(n, pair_set):
+    return sum(1 << pair_index(n, a, b) for a, b in pair_set)
 
 
 INVARIANT_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -323,9 +357,9 @@ class TestExactInvariants:
     labels."""
 
     @INVARIANT_SETTINGS
-    @given(st.sampled_from(sorted(PACKING_CASES)), st.integers(0, 10**6), st.data())
+    @given(st.sampled_from(sorted(SEARCH_CASES)), st.integers(0, 10**6), st.data())
     def test_vertex_relabelling(self, name, seed, data):
-        family, dens, top = PACKING_CASES[name]
+        family, dens, top = SEARCH_CASES[name]
         n = data.draw(st.integers(3, top))
         g = sampled(family, dens, n, seed)
         perm = data.draw(st.permutations(range(n)))
@@ -334,7 +368,7 @@ class TestExactInvariants:
     @INVARIANT_SETTINGS
     @given(st.sampled_from(["rainbow", "bichrom"]), st.integers(0, 10**6), st.data())
     def test_color_permutation(self, name, seed, data):
-        family, dens, top = PACKING_CASES[name]
+        family, dens, top = SEARCH_CASES[name]
         n = data.draw(st.integers(3, top))
         g = sampled(family, dens, n, seed)
         perm = data.draw(st.permutations((1, 2, 3)))
