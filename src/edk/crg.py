@@ -16,14 +16,19 @@ builds, at construction, a k x k table of the masks seen from each ordered
 vertex pair (the single-arc bits of a directed edge swapped on the far side),
 and every test and transformation reads that table.
 
-Enumeration grows admissible types one vertex at a time.  Because the parent
-is admissible, a child can fail only through an embedding that uses the new
-vertex; per parent, those embeddings reduce to a short list of edge rows
-the new vertex must not cover, so a candidate is tested by a few mask
-comparisons.  Its canonical key is read off a flat tuple of masks by
-itemgetters, one per vertex permutation that sorts the vertex sets (the least
-encoding starts with them), built once per pattern of tied sets.  A type
-object is built only once per key.
+Enumeration grows admissible types one vertex at a time, and only by a
+vertex that ranks first in the child: its vertex set is the largest, and
+among the vertices with that set, the multiset of masks it sees is the
+largest.  The rank does not depend on labels, so every type still arises,
+from deleting one of its first-ranked vertices, and most of the other ways
+of building it are never tried.  Because the parent is admissible, a child
+can fail only through an embedding that uses the new vertex; per parent,
+those embeddings reduce to a short list of edge rows the new vertex must not
+cover, so a candidate is tested by a few mask comparisons.  Its canonical
+key is read off a flat tuple of masks by itemgetters, one per vertex
+permutation that sorts the vertex sets (the least encoding starts with
+them), built once per pattern of tied sets.  A type object is built only
+once per key.
 """
 
 from __future__ import annotations
@@ -43,7 +48,6 @@ from .graphs import (
     NONEDGE,
     Palette,
     PropertyFamily,
-    arcs_acyclic,
     pair_count,
     pairs,
 )
@@ -84,14 +88,9 @@ class _TypeBody:
         if len(self.edge_sets) != pair_count(k):
             raise ValueError("wrong number of edge sets")
         self._validate()
-        table = [[0] * k for _ in range(k)]
-        edges = iter(self.edge_sets)
-        for x, row in enumerate(table):
-            row[x] = self.vertex_sets[x]
-            for y in range(x + 1, k):
-                row[y] = m = next(edges)
-                table[y][x] = _mirror(m, self.arrows)
-        object.__setattr__(self, "table", tuple(map(tuple, table)))
+        back = tuple(map(_MIRROR.__getitem__, self.edge_sets)) if self.arrows else self.edge_sets
+        cells = self.vertex_sets + self.edge_sets + back
+        object.__setattr__(self, "table", tuple(row(cells) for row in _row_readers(k)))
 
     @property
     def k(self) -> int:
@@ -118,10 +117,21 @@ class _TypeBody:
         return self._like(*_permuted_encoding(self.table, sub))
 
 
-def _mirror(mask, arrows):
-    """A pair's mask seen from its other end: single arcs swap."""
-    single = mask & arrows
-    return mask if single in (0, arrows) else mask ^ arrows
+# a directed pair's mask seen from its other end: single arcs swap
+_MIRROR = tuple(m ^ ARROW_MASK if (m & ARROW_MASK).bit_count() == 1 else m for m in range(16))
+
+
+@functools.lru_cache(maxsize=None)
+def _row_readers(k):
+    """Per vertex x, a function reading row x of the mask table off the
+    vertex sets, then the edge sets, then the edge sets seen from the far
+    end, in one tuple."""
+    if k == 1:
+        return [lambda cells: cells[:1]]
+    index = {(x, x): x for x in range(k)}
+    for i, (x, y) in enumerate(pairs(k), k):
+        index[x, y], index[y, x] = i, i + pair_count(k)
+    return [operator.itemgetter(*(index[x, y] for y in range(k))) for x in range(k)]
 
 
 def _permuted_encoding(table, perm):
@@ -192,26 +202,25 @@ def canonical_key(k_type):
     k = k_type.k
     if k < 2:
         return k_type.encoding()
-    table, vsets, arrows = k_type.table, k_type.vertex_sets, k_type.arrows
+    table, vsets = k_type.table, k_type.vertex_sets
     head, last = sorted(range(k - 1), key=vsets.__getitem__), k - 1
     flat = tuple(table[x][y] for x in head for y in head)
-    mirror = functools.partial(_mirror, arrows=arrows) if arrows else None
     (key,) = _child_keys(flat, tuple(vsets[x] for x in head), vsets[last],
-                         [tuple(table[x][last] for x in head)], mirror)
+                         [(tuple(table[x][last] for x in head),
+                           tuple(table[last][x] for x in head))])
     return key[:k], key[k:]
 
 
-def _child_keys(flat, vsets, vs, rows, mirror):
-    """Per row of ``rows``, the canonical key (vertex sets, then edge sets,
-    in one tuple) of a parent with flat mask table ``flat`` and sorted vertex
-    sets ``vsets`` plus a new vertex with set ``vs`` and that row of edge
-    sets; ``mirror`` gives an edge set seen from the new vertex (None: same)."""
+def _child_keys(flat, vsets, vs, rows):
+    """Per row and its mirror (the row seen from the new vertex) in
+    ``rows``, the canonical key (vertex sets, then edge sets, in one tuple)
+    of a parent with flat mask table ``flat`` and sorted vertex sets
+    ``vsets`` plus a new vertex with set ``vs`` and that row of edge sets."""
     slot = bisect.bisect_right(vsets, vs)
     key = _key_reader(tuple(len(tuple(run)) for _, run in
                             itertools.groupby(sorted(vsets + (vs,)))), slot)
-    mirrored = rows if mirror is None else [tuple(map(mirror, row)) for row in rows]
     tail = (vs,)
-    return map(key, [flat + row + back + tail for row, back in zip(rows, mirrored)])
+    return map(key, [flat + row + back + tail for row, back in rows])
 
 
 @functools.lru_cache(maxsize=1024)
@@ -263,12 +272,22 @@ def _images(h, table, arrows, free=False):
         if ordered[x]:
             allowed[x][x] |= arrows
     image = [0] * h.n
-    members = [[] for _ in range(k)]
-    fwd = 1 << FWD
+    members = [0] * k  # a bitmask of the vertices placed on each target
+    if arrows:
+        out, into = ([sum(1 << u for u, b in enumerate(row) if b == 1 << code) for row in bits]
+                     for code in (FWD, BWD))
 
-    def acyclic(group):
-        return arcs_acyclic(h.n, [(a, b) for a, b in itertools.permutations(group, 2)
-                                  if bits[a][b] == fwd])
+    def closes_cycle(v, group):
+        """Whether v closes a cycle of arcs in an acyclic class ``group``:
+        some out-neighbour of v reaches an in-neighbour inside it."""
+        reach = todo = out[v] & group
+        while todo:
+            u = todo & -todo
+            todo ^= u
+            step = out[u.bit_length() - 1] & group & ~reach
+            reach |= step
+            todo |= step
+        return reach & into[v]
 
     def place(v):
         if v == h.n:
@@ -281,13 +300,12 @@ def _images(h, table, arrows, free=False):
                 if not row[u] & seen[image[u]]:
                     break
             else:
-                group = members[x]
-                if ordered[x] and len(group) > 1 and not acyclic(group + [v]):
+                if ordered[x] and closes_cycle(v, members[x]):
                     continue
                 image[v] = x
-                group.append(v)
+                members[x] |= 1 << v
                 yield from place(v + 1)
-                group.pop()
+                members[x] ^= 1 << v
         if free:
             image[v] = k
             yield from place(v + 1)
@@ -337,8 +355,10 @@ def _make(family, vsets, esets):
     return RType(family.r, vsets, esets)
 
 
-def _extension_needs(parent, family, vertex_choices, class_fits):
-    """Per vertex choice, the minimal rows a new vertex must not cover.
+def _extension_needs(parent, family, vertex_choices, class_fits, first):
+    """Per vertex choice from ``vertex_choices[first]`` on, the minimal rows
+    a new vertex must not cover, each packed into one int with one field, as
+    wide as a mask, per parent vertex.
 
     The parent is admissible, so a forbidden ``h`` embeds in the parent plus
     a new vertex only by putting a nonempty set J of its vertices on the new
@@ -347,51 +367,74 @@ def _extension_needs(parent, family, vertex_choices, class_fits):
     the colors ``need[x]`` that the new edge set at x must hold, so a child
     whose row holds every ``need[x]`` is inadmissible, and every
     inadmissible child is caught this way.  ``class_fits`` caches, per
-    forbidden graph and J, which vertex choices ``h[J]`` fits.
+    forbidden graph and J, which of all the vertex choices ``h[J]`` fits.
     """
     k = parent.k
-    needs = [set() for _ in vertex_choices]
+    span = family.full_mask.bit_length()
+    needs = [set() for _ in vertex_choices[first:]]
     for index, h in enumerate(family.forbidden):
         bits = _pair_bits(h)
         for image in _images(h, parent.table, parent.arrows, free=True):
             on_new = tuple(u for u in range(h.n) if image[u] == k)
             if not on_new:
                 continue
-            need = [0] * k
-            for w in range(h.n):
-                x = image[w]
-                if x < k:
-                    for u in on_new:
-                        need[x] |= bits[w][u]
             fits = class_fits.get((index, on_new))
             if fits is None:
                 sub = h.induced(on_new)
                 fits = class_fits[index, on_new] = [
                     _fits(sub, ((vs,),), parent.arrows) for vs in vertex_choices]
-            for choice, fit in zip(needs, fits):
-                if fit:
-                    choice.add(tuple(need))
+            live = [choice for choice, fit in zip(needs, fits[first:]) if fit]
+            if not live:
+                continue
+            need = 0
+            for w in range(h.n):
+                x = image[w]
+                if x < k:
+                    for u in on_new:
+                        need |= bits[w][u] << span * x
+            for choice in live:
+                choice.add(need)
     return [_minimal(choice) for choice in needs]
 
 
 def _minimal(needs):
     """The needs that contain no other need."""
     kept = []
-    for need in sorted(needs, key=lambda n: sum(map(int.bit_count, n))):
-        if not any(all(not a & ~b for a, b in zip(small, need)) for small in kept):
+    for need in sorted(needs, key=int.bit_count):
+        if all(small & ~need for small in kept):
             kept.append(need)
     return kept
 
 
 def _free_rows(needs, edge_choices, width):
-    """Every row of ``width`` edge choices that covers none of ``needs``."""
+    """Every row of ``width`` edge choices that covers none of ``needs``
+    (packed as ``_extension_needs`` packs them)."""
+    full = edge_choices[-1]
     rows = [((), (1 << len(needs)) - 1)]  # a prefix and the needs it may still cover
     for x in range(width):
-        hits = [sum(1 << j for j, need in enumerate(needs) if not need[x] & ~e)
+        shift = full.bit_length() * x
+        hits = [sum(1 << j for j, need in enumerate(needs) if not need >> shift & full & ~e)
                 for e in edge_choices]
         rows = [(row + (e,), live & hit) for row, live in rows
                 for e, hit in zip(edge_choices, hits)]
     return [row for row, live in rows if not live]
+
+
+def _scores(table, power):
+    """Per vertex, ``power[m]`` summed over the masks m it sees in its row of
+    ``table``.  With ``power[m] = k**m`` on at most k vertices, no mask is
+    seen k times, so the score encodes the multiset of those masks."""
+    return [sum(map(power.__getitem__, row)) - power[row[x]] for x, row in enumerate(table)]
+
+
+def _first_ranked(rows, scores, power):
+    """The rows (with their mirrors) whose new vertex scores at least as high
+    as each of the parent's last ``len(scores)`` vertices, which have its
+    vertex set and scored ``scores`` without it."""
+    tied = -len(scores)
+    return [(row, back) for row, back in rows
+            if sum(map(power.__getitem__, back))
+            >= max(map(operator.add, scores, map(power.__getitem__, row[tied:])))]
 
 
 def enumerate_types(family: PropertyFamily, kmax: int,
@@ -401,12 +444,19 @@ def enumerate_types(family: PropertyFamily, kmax: int,
     then by canonical encoding.
 
     Types on k vertices are built by extending the admissible types on k-1
-    vertices (every restriction of an admissible type is admissible, so this
-    loses nothing) by a vertex set and a row of edge sets.  A candidate is
-    rejected when its row covers one of the parent's extension needs (see
-    ``_extension_needs``); a type object is built once per canonical key,
-    from the level's sorted keys.  Refuses with :class:`EnumerationGuardError`
-    when the raw candidate count would pass ``candidate_ceiling``.
+    vertices by a vertex set and a row of edge sets, but only by a vertex
+    that ranks first in the child: no other vertex has a larger vertex set,
+    and none with the same set scores higher (``_scores``: the multiset of
+    masks a vertex sees).  This loses nothing.  Take a type T and a
+    first-ranked vertex v: T - v is admissible (every restriction of an
+    admissible type is), so its canonical form P is a parent; v's set is at
+    least P's largest, and v's score, which does not depend on labels, is
+    at least that of each vertex tied with it, so the extension of P that
+    rebuilds T is tried.  A candidate is rejected when its row covers one of
+    the parent's extension needs (see ``_extension_needs``); a type object is
+    built once per canonical key, from the level's sorted keys.  Refuses
+    with :class:`EnumerationGuardError` when the raw candidate count would
+    pass ``candidate_ceiling``.
     """
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
@@ -420,19 +470,25 @@ def enumerate_types(family: PropertyFamily, kmax: int,
 
     examined = len(vertex_choices)
     class_fits = {}
-    mirror = ({e: _mirror(e, ARROW_MASK) for e in edge_choices}.__getitem__
-              if family.is_directed else None)
+    mirror = _MIRROR.__getitem__ if family.is_directed else None
     for k in range(2, kmax + 1):
         examined += len(level) * len(vertex_choices) * len(edge_choices) ** (k - 1)
         if examined > candidate_ceiling:
             raise EnumerationGuardError(examined, candidate_ceiling)
+        power = [k ** m for m in range(edge_choices[-1] + 1)]
         seen = set()
         for parent in level:
             flat = tuple(itertools.chain.from_iterable(parent.table))
-            choice_needs = _extension_needs(parent, family, vertex_choices, class_fits)
-            for vs, needs in zip(vertex_choices, choice_needs):
-                rows = _free_rows(needs, edge_choices, k - 1)
-                seen.update(_child_keys(flat, parent.vertex_sets, vs, rows, mirror))
+            vsets = parent.vertex_sets
+            first = bisect.bisect_left(vertex_choices, vsets[-1])
+            scores = _scores(parent.table, power)[bisect.bisect_left(vsets, vsets[-1]):]
+            choice_needs = _extension_needs(parent, family, vertex_choices, class_fits, first)
+            for vs, needs in zip(vertex_choices[first:], choice_needs):
+                rows = [(row, row if mirror is None else tuple(map(mirror, row)))
+                        for row in _free_rows(needs, edge_choices, k - 1)]
+                if vs == vsets[-1]:
+                    rows = _first_ranked(rows, scores, power)
+                seen.update(_child_keys(flat, vsets, vs, rows))
         keys = sorted(seen)
         del seen
         # the last level has no children, so its types are built as they are yielded

@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import edk
@@ -18,7 +18,14 @@ from edk.catalog import (
     transitive_tournament,
     triangle,
 )
-from edk.crg import canonical_key, canonicalize, color_set_mask, dir_set_mask
+from edk.crg import (
+    _first_ranked,
+    _scores,
+    canonical_key,
+    canonicalize,
+    color_set_mask,
+    dir_set_mask,
+)
 from edk.errors import EnumerationGuardError
 from edk.graphs import BWD, FWD, PALETTES, pair_count
 from oracles import brute_canonical_key, brute_embeds
@@ -299,6 +306,30 @@ class TestCanonicalKey:
         assert canonical_key(t) == key
         assert canonicalize(t).encoding() == key
         assert canonical_key(t.permuted(perm)) == key
+
+
+class TestFirstRankedVertex:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(tied_types().filter(lambda case: case[0].k > 1))
+    def test_filter_against_the_child_scores(self, case):
+        # enumeration keeps a row from the parent's scores and the row alone;
+        # it must keep it exactly when the new vertex scores at least as high,
+        # in the whole child, as each vertex with its vertex set
+        t, _ = case
+        k, vs = t.k, t.vertex_sets[-1]
+        tied = k - t.vertex_sets.count(vs)  # the first parent vertex with set vs
+        assume(tied < k - 1)
+        child = t.permuted(sorted(range(k - 1), key=lambda x: t.vertex_sets[x] == vs) + [k - 1])
+        power = [k ** m for m in range(16)]
+        scores = _scores(child.table, power)
+        row = tuple(child.table[x][k - 1] for x in range(k - 1))
+        parent = child.sub_type(range(k - 1))
+        kept = _first_ranked([(row, child.table[k - 1][:k - 1])],
+                             _scores(parent.table, power)[tied:], power)
+        assert bool(kept) == (scores[-1] >= max(scores[tied:-1]))
+        seen = [sorted(m for y, m in enumerate(child.table[x]) if y != x) for x in range(k)]
+        for x, y in itertools.combinations(range(k), 2):  # a score is that multiset
+            assert (scores[x] == scores[y]) == (seen[x] == seen[y])
 
 
 class TestFactOne:

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 import edk
 from edk import CertificateError, ColoredGraph, DiGraph, RType, catalog
-from edk.graphs import PALETTES, pair_count
+from edk.crg import canonical_key
+from edk.graphs import BWD, FWD, PALETTES, pair_count
 from edk.ratlin import solve_int
 from oracles import brute_enumerate_types, brute_g_value
 
@@ -182,16 +183,56 @@ class TestEnumerationAgainstBuildingEveryCandidate:
         assert (_enumeration(edk.enumerate_types, family, kmax, CEILING)
                 == _enumeration(brute_enumerate_types, family, kmax, CEILING))
 
-    @pytest.mark.parametrize("name", ["t112", "k5", "cyclic-tourn", "both-compl"])
+    # mono-r2 and both-orien: every admissible one-vertex type has the same
+    # vertex set, so only the tie between equal sets prunes their extensions
+    @pytest.mark.parametrize("name", ["t112", "k5", "cyclic-tourn", "both-compl",
+                                      "mono-r2", "both-orien"])
     def test_catalog_families(self, name):
-        family = {
-            "t112": catalog.triangle_112_family(),
-            "k5": catalog.k5_family(),
-            "cyclic-tourn": catalog.cyclic_triangle_family("tourn"),
-            "both-compl": catalog.both_triangles_family("compl"),
+        family, kmax = {
+            "t112": (catalog.triangle_112_family(), 3),
+            "k5": (catalog.k5_family(), 3),
+            "cyclic-tourn": (catalog.cyclic_triangle_family("tourn"), 3),
+            "both-compl": (catalog.both_triangles_family("compl"), 3),
+            "mono-r2": (catalog.mono_triangle_family(r=2), 5),
+            "both-orien": (catalog.both_triangles_family("orien"), 4),
         }[name]
-        assert ([t.encoding() for t in edk.enumerate_types(family, 3)]
-                == [t.encoding() for t in brute_enumerate_types(family, 3)])
+        assert ([t.encoding() for t in edk.enumerate_types(family, kmax)]
+                == [t.encoding() for t in brute_enumerate_types(family, kmax)])
+
+
+class TestEnumerationSymmetry:
+    """Enumeration builds each type from a vertex ranked by an order that
+    does not read labels, so renaming the colors of a family, or reversing
+    its arcs, renames its admissible types and nothing else."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(small_families(), st.permutations((1, 2, 3)))
+    def test_renamed_colors(self, case, perm):
+        family, kmax = case
+        if family.is_directed:  # reverse every arc
+            rename, kmax = {FWD: BWD, BWD: FWD}, 2
+        else:
+            rename = dict(enumerate((c for c in perm if c <= family.r), 1))
+        first = family.forbidden[0].first_state
+
+        def mask(m):
+            return sum(1 << rename.get(b + first, b + first) - first
+                       for b in range(m.bit_length()) if m >> b & 1)
+
+        def renamed(encoding):
+            vsets, esets = (tuple(map(mask, sets)) for sets in encoding)
+            return canonical_key(edk.DirType(family.palette, vsets, esets) if family.is_directed
+                                 else RType(family.r, vsets, esets))
+
+        image = replace(family, forbidden=tuple(
+            replace(h, colors=tuple(rename.get(c, c) for c in h.colors))
+            for h in family.forbidden))
+        ours, theirs = (_enumeration(edk.enumerate_types, f, kmax, CEILING)
+                        for f in (family, image))
+        if isinstance(ours, int):  # the guard refused both at the same count
+            assert ours == theirs
+        else:
+            assert {renamed(encoding) for encoding in ours} == set(theirs)
 
 
 # Recorded at the commit that built and tested every candidate: the count and
