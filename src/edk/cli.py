@@ -2,10 +2,13 @@
 
 One executable with subcommands for spectra, chromatic numbers, type
 enumeration, the distance function, editing, the exact oracle, samplers,
-Monte Carlo estimation, and the built-in reference checks.  Output is JSON by
-default (``--format csv`` where tabular, ``--format text`` for type
-listings); rationals are serialized as "num/den" strings.  All randomness
-sits behind an explicit ``--seed``.
+Monte Carlo estimation, and the built-in reference checks.  Output is JSON
+(``--format csv`` where tabular), except that type listings are text unless
+``--format json``; rationals are serialized as "num/den" strings.  All
+randomness sits behind an explicit ``--seed``.  A subcommand takes only the
+flags it reads: ``--jobs`` on ``edit`` and ``estimate``, ``--ceiling`` (the
+type enumeration's candidate ceiling) on those two and ``types`` and
+``distfn``.
 
 Exit codes: 0 success, 1 domain error (trivial property, guard, failed
 reference check), 2 usage error (bad flag or environment variable) or
@@ -232,11 +235,7 @@ def _cmd_edit(args):
     payloads = [
         (family, graph, k_type, weights, args.seed + i) for i in range(args.trials)
     ]
-    workers = worker_count(args.jobs, args.trials)
-    if workers > 1:
-        results = _pool_map(workers)(_edit_trial, payloads)
-    else:
-        results = [_edit_trial(p) for p in payloads]
+    results = list(_trial_map(args)(_edit_trial, payloads))
     if args.trials == 1:
         changes, member = results[0]
         payload = {
@@ -310,27 +309,28 @@ def worker_count(jobs, trials) -> int:
     return min(jobs, trials, os.cpu_count() or 1)
 
 
-def _pool_map(jobs):
-    def run(fn, payloads):
+def _trial_map(args):
+    """``map``, or a worker pool's map when ``--jobs`` and ``--trials`` allow
+    more than one process."""
+    workers = worker_count(args.jobs, args.trials)
+    if workers == 1:
+        return map
+
+    def pool_map(fn, items):
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, payloads))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
 
-    return run
+    return pool_map
 
 
 def _cmd_estimate(args):
     family = _read_family(args)
     dens = _parse_density(family, args.p)
-    map_fn = map
-    workers = worker_count(args.jobs, args.trials)
-    if workers > 1:
-        runner = _pool_map(workers)
-        map_fn = lambda fn, items: runner(fn, list(items))  # noqa: E731
     stats = estimate_dist(args.n, dens, family, args.trials, args.seed,
                           kmax=args.kmax, mode=args.mode, max_n=args.max_n,
-                          map_fn=map_fn)
+                          map_fn=_trial_map(args), candidate_ceiling=args.ceiling)
     payload = {
         "n": stats.n,
         "trials": stats.trials,
@@ -368,40 +368,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, prop=True, fmt=True):
+    def command(name, summary, handler, prop=True, formats=("json", "csv"), jobs=False,
+                ceiling=False):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
         if prop:
             p.add_argument("--property", required=True, help="property file")
-        if fmt:
-            p.add_argument("--format", choices=("json", "csv", "text"), default="json")
-        p.add_argument("--jobs", type=int, default=1, help="worker count for trials")
-        p.add_argument("--ceiling", type=int, default=5_000_000,
-                       help="candidate ceiling for type enumeration")
+        if formats:
+            p.add_argument("--format", choices=formats, default=formats[0])
+        if jobs:
+            p.add_argument("--jobs", type=int, default=1, help="worker count for trials")
+        if ceiling:
+            p.add_argument("--ceiling", type=int, default=5_000_000,
+                           help="candidate ceiling for type enumeration")
+        return p
 
-    p = sub.add_parser("spectrum", help="weak or strong clique spectrum")
-    common(p)
+    p = command("spectrum", "weak or strong clique spectrum", _cmd_spectrum)
     p.add_argument("--mode", choices=("weak", "strong"), default="weak")
-    p.set_defaults(handler=_cmd_spectrum)
 
-    p = sub.add_parser("chi", help="chromatic number of the family")
-    common(p)
+    p = command("chi", "chromatic number of the family", _cmd_chi)
     p.add_argument("--mode", choices=("weak", "strong"), default="weak")
-    p.set_defaults(handler=_cmd_chi)
 
-    p = sub.add_parser("types", help="enumerate admissible types")
-    common(p, fmt=False)
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    p = command("types", "enumerate admissible types", _cmd_types, formats=("text", "json"),
+                ceiling=True)
     p.add_argument("--kmax", type=int, required=True)
-    p.set_defaults(handler=_cmd_types)
 
-    p = sub.add_parser("distfn", help="distance function bounds")
-    common(p)
+    p = command("distfn", "distance function bounds", _cmd_distfn, ceiling=True)
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--p", help="density vector, e.g. '1/3,1/3,1/3' (directed: 'p,q')")
     p.add_argument("--grid", help="rational grid step, e.g. '1/12'")
-    p.set_defaults(handler=_cmd_distfn)
 
-    p = sub.add_parser("edit", help="randomized editing toward an admissible type")
-    common(p)
+    p = command("edit", "randomized editing toward an admissible type", _cmd_edit, jobs=True,
+                ceiling=True)
     p.add_argument("--graph", required=True, help="graph file")
     p.add_argument("--type-index", type=int, required=True,
                    help="index into the enumeration order")
@@ -409,26 +407,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", required=True, help="simplex weights, e.g. '1/2,1/2'")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--trials", type=int, default=1)
-    p.set_defaults(handler=_cmd_edit)
 
-    p = sub.add_parser("oracle", help="exact edit distance at small n")
-    common(p)
+    p = command("oracle", "exact edit distance at small n", _cmd_oracle, formats=())
     p.add_argument("--graph", required=True, help="graph file")
     p.add_argument("--max-n", type=int, default=None, help="override the size guard")
-    p.set_defaults(handler=_cmd_oracle)
 
-    p = sub.add_parser("sample", help="seeded random graph")
-    common(p, prop=False, fmt=False)
+    p = command("sample", "seeded random graph", _cmd_sample, prop=False, formats=())
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--p", help="multicolor density vector")
     p.add_argument("--palette", choices=("full", "compl", "orien", "undir", "tourn"))
     p.add_argument("--dens", help="directed densities 'p,q'")
     p.add_argument("--out", help="write to a file instead of stdout")
-    p.set_defaults(handler=_cmd_sample)
 
-    p = sub.add_parser("estimate", help="Monte Carlo distance estimate")
-    common(p)
+    p = command("estimate", "Monte Carlo distance estimate", _cmd_estimate, jobs=True,
+                ceiling=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", required=True, help="densities ('p1,...,pr' or 'p,q')")
     p.add_argument("--trials", type=int, required=True)
@@ -436,12 +429,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=int, default=2)
     p.add_argument("--mode", choices=("auto", "exact", "algorithmic"), default="auto")
     p.add_argument("--max-n", type=int, default=None)
-    p.set_defaults(handler=_cmd_estimate)
 
-    p = sub.add_parser("verify-paper", help="recompute the built-in reference results")
-    common(p, prop=False)
+    p = command("verify-paper", "recompute the built-in reference results", _cmd_verify,
+                prop=False)
     p.add_argument("--case", default="all")
-    p.set_defaults(handler=_cmd_verify)
 
     return parser
 

@@ -42,10 +42,10 @@ from dataclasses import dataclass, field, replace
 from .errors import EnumerationGuardError
 from .graphs import (
     ARROW_MASK,
-    BIEDGE,
     BWD,
+    DIR_CODES,
     FWD,
-    NONEDGE,
+    MIRROR,
     Palette,
     PropertyFamily,
     pair_count,
@@ -70,7 +70,7 @@ def dir_set_mask(codes) -> int:
 
 
 def dir_mask_codes(mask: int):
-    return tuple(c for c in (NONEDGE, BIEDGE, FWD, BWD) if mask & (1 << c))
+    return tuple(c for c in DIR_CODES if mask & (1 << c))
 
 
 class _TypeBody:
@@ -118,7 +118,7 @@ class _TypeBody:
 
 
 # a directed pair's mask seen from its other end: single arcs swap
-_MIRROR = tuple(m ^ ARROW_MASK if (m & ARROW_MASK).bit_count() == 1 else m for m in range(16))
+_MIRROR = tuple(sum(1 << MIRROR[c] for c in DIR_CODES if m >> c & 1) for m in range(16))
 
 
 @functools.lru_cache(maxsize=None)

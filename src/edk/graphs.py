@@ -1,14 +1,18 @@
 """Core data model: colored complete graphs, digraphs, palettes, densities,
-forbidden families, and the induced-subgraph / membership / Hamming /
-acyclicity primitives.  A family accepts only graphs of its arity and, for
-digraphs, of its palette.
+forbidden families, and the induced-subgraph / membership / Hamming
+primitives.  A family accepts only graphs of its arity and, for digraphs, of
+its palette.
 
 A multicolor graph is a complete graph on ``n`` labeled vertices whose
 unordered pairs carry a color in ``1..r``.  A digraph is a complete graph
 whose unordered pairs carry one of four states: no arc, arcs both ways, or a
-single arc in either direction.  Both kinds store one color code per pair
-``{i, j}`` with ``i < j``; for digraphs the single-arc codes are read relative
-to that order, which makes the required symmetries hold by construction.
+single arc in either direction.  Both kinds store one state per pair
+``{i, j}``, as seen from its smaller end ``i``, and each class has a table
+``far``: ``far[c]`` is the state that a pair stored in state ``c`` shows from
+its larger end.  On a digraph ``far`` is :data:`MIRROR`, which swaps the two
+single arcs; on a multicolor graph it is the identity.  Both classes share
+one body that reads, writes and relabels every pair through ``far``, so the
+arc symmetries hold by construction and no code tests which class it has.
 
 Pair states are the colors 1..r or the codes 0..3, and in color-set masks
 state c sits at bit ``c - first_state``: bit c-1 for a color, bit c for a
@@ -37,7 +41,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 # Digraph pair codes, relative to the pair (i, j) with i < j.
@@ -52,14 +56,8 @@ DIR_CODE_OF = {v: k for k, v in DIR_SYMBOL.items()}
 
 ARROW_MASK = (1 << FWD) | (1 << BWD)
 
-
-def mirror(code: int) -> int:
-    """Pair code as seen from the opposite vertex order."""
-    if code == FWD:
-        return BWD
-    if code == BWD:
-        return FWD
-    return code
+# MIRROR[c]: a pair stored in code c, read from its larger end (single arcs swap)
+MIRROR = (NONEDGE, BIEDGE, BWD, FWD)
 
 
 def pair_count(n: int) -> int:
@@ -75,34 +73,6 @@ def pair_index(n: int, i: int, j: int) -> int:
 
 def pairs(n: int):
     return itertools.combinations(range(n), 2)
-
-
-def arcs_acyclic(n, arcs) -> bool:
-    """Whether the ordered pairs ``arcs`` on vertices 0..n-1 form no
-    directed cycle."""
-    succ = [[] for _ in range(n)]
-    for i, j in arcs:
-        succ[i].append(j)
-    state = [0] * n  # 0 new, 1 on stack, 2 done
-    for start in range(n):
-        if state[start]:
-            continue
-        stack = [(start, 0)]
-        state[start] = 1
-        while stack:
-            v, k = stack[-1]
-            if k < len(succ[v]):
-                stack[-1] = (v, k + 1)
-                w = succ[v][k]
-                if state[w] == 1:
-                    return False
-                if state[w] == 0:
-                    state[w] = 1
-                    stack.append((w, 0))
-            else:
-                state[v] = 2
-                stack.pop()
-    return True
 
 
 @dataclass(frozen=True)
@@ -162,8 +132,37 @@ def palette(kind: str) -> Palette:
         raise ValueError(f"unknown palette {kind!r}; expected one of {sorted(PALETTES)}") from None
 
 
+class _GraphBody:
+    """What ColoredGraph and DiGraph share: every pair is read, written and
+    relabeled through the class's ``far`` table."""
+
+    def color(self, i, j):
+        """Pair state as seen from the ordered pair (i, j)."""
+        c = self.colors[pair_index(self.n, i, j)]
+        return c if i < j else self.far[c]
+
+    def permuted(self, perm):
+        """Relabel vertices: new vertex v is old vertex perm[v].  A shorter
+        ``perm`` keeps only its vertices."""
+        color = self.color
+        return replace(self, n=len(perm),
+                       colors=tuple(color(perm[a], perm[b]) for a, b in pairs(len(perm))))
+
+    def induced(self, subset):
+        return self.permuted(sorted(subset))
+
+    def recolored(self, i, j, state):
+        """The graph with pair (i, j) in ``state`` as seen from i."""
+        if i > j:
+            # a state with no far entry is left for validation to refuse
+            i, j, state = j, i, self.far[state] if state in self.far else state
+        colors = list(self.colors)
+        colors[pair_index(self.n, i, j)] = state
+        return replace(self, colors=tuple(colors))
+
+
 @dataclass(frozen=True)
-class ColoredGraph:
+class ColoredGraph(_GraphBody):
     """An r-edge-coloring of the complete graph on n labeled vertices."""
 
     n: int
@@ -183,6 +182,11 @@ class ColoredGraph:
             bad = next(c for c in self.colors if not 1 <= c <= self.r)
             raise ValueError(f"color {bad} out of range 1..{self.r}")
 
+    @functools.cached_property
+    def far(self):
+        """The identity on 0..r: a color reads the same from both ends."""
+        return tuple(range(self.r + 1))
+
     @classmethod
     def from_color_map(cls, n, r, mapping):
         """Build from a map of pairs (i, j) with i < j to colors."""
@@ -195,27 +199,9 @@ class ColoredGraph:
     def complete(cls, n, r, color):
         return cls(n, r, (color,) * pair_count(n))
 
-    def color(self, i, j):
-        return self.colors[pair_index(self.n, i, j)]
-
-    def induced(self, subset) -> ColoredGraph:
-        sub = sorted(subset)
-        colors = tuple(self.color(sub[a], sub[b]) for a, b in pairs(len(sub)))
-        return ColoredGraph(len(sub), self.r, colors)
-
-    def recolored(self, i, j, color) -> ColoredGraph:
-        colors = list(self.colors)
-        colors[pair_index(self.n, i, j)] = color
-        return ColoredGraph(self.n, self.r, tuple(colors))
-
-    def permuted(self, perm) -> ColoredGraph:
-        """Relabel vertices: new vertex v is old vertex perm[v]."""
-        colors = tuple(self.color(perm[a], perm[b]) for a, b in pairs(self.n))
-        return ColoredGraph(self.n, self.r, colors)
-
 
 @dataclass(frozen=True)
-class DiGraph:
+class DiGraph(_GraphBody):
     """A complete labeled graph whose pairs carry one of the four arc states."""
 
     n: int
@@ -223,6 +209,7 @@ class DiGraph:
 
     first_state = NONEDGE
     r = 0
+    far = MIRROR
 
     def __post_init__(self):
         if self.n < 0:
@@ -238,8 +225,7 @@ class DiGraph:
         colors = [default] * pair_count(n)
         for (i, j), c in mapping.items():
             if i > j:
-                i, j = j, i
-                c = mirror(c)
+                i, j, c = j, i, MIRROR[c] if c in MIRROR else c
             colors[pair_index(n, i, j)] = c
         return cls(n, tuple(colors))
 
@@ -260,40 +246,6 @@ class DiGraph:
             else:
                 mapping[(i, j)] = absent
         return cls.from_color_map(n, mapping)
-
-    def color(self, i, j):
-        """Pair state as seen from the ordered pair (i, j)."""
-        if i < j:
-            return self.colors[pair_index(self.n, i, j)]
-        return mirror(self.colors[pair_index(self.n, j, i)])
-
-    def arcs(self):
-        """Ordered arcs of the digraph (a BIEDGE pair contributes both)."""
-        out = []
-        for i, j in pairs(self.n):
-            c = self.colors[pair_index(self.n, i, j)]
-            if c in (FWD, BIEDGE):
-                out.append((i, j))
-            if c in (BWD, BIEDGE):
-                out.append((j, i))
-        return out
-
-    def induced(self, subset) -> DiGraph:
-        sub = sorted(subset)
-        colors = tuple(self.color(sub[a], sub[b]) for a, b in pairs(len(sub)))
-        return DiGraph(len(sub), colors)
-
-    def recolored(self, i, j, code) -> DiGraph:
-        if i > j:
-            i, j = j, i
-            code = mirror(code)
-        colors = list(self.colors)
-        colors[pair_index(self.n, i, j)] = code
-        return DiGraph(self.n, tuple(colors))
-
-    def permuted(self, perm) -> DiGraph:
-        colors = tuple(self.color(perm[a], perm[b]) for a, b in pairs(self.n))
-        return DiGraph(self.n, colors)
 
     def fits_palette(self, pal: Palette) -> bool:
         return pal.codes.issuperset(self.colors)
@@ -428,16 +380,9 @@ class PropertyFamily:
         if (self.r == 0) == (self.palette is None):
             raise ValueError("family is either multicolor (r) or directed (palette)")
         for h in self.forbidden:
+            self.check_graph(h)
             if h.n < 1:
                 raise ValueError("forbidden graphs need at least one vertex")
-            if self.palette is None:
-                if not isinstance(h, ColoredGraph) or h.r != self.r:
-                    raise ValueError("multicolor family needs ColoredGraphs with matching r")
-            else:
-                if not isinstance(h, DiGraph):
-                    raise ValueError("directed family needs DiGraphs")
-                if not h.fits_palette(self.palette):
-                    raise ValueError(f"forbidden graph uses colors outside palette {self.palette.kind}")
 
     @classmethod
     def multicolor(cls, r, graphs):
@@ -495,11 +440,12 @@ def induced(graph, subset):
 def neighborhood_masks(graph):
     """Neighbourhood bitmasks of a graph, read once per pair.
 
-    ``masks[c][x]`` has bit ``y`` set when the pair {x, y} has color ``c`` as
-    seen from ``x``; for digraphs the larger end sees the mirrored arc code.
+    ``masks[c][x]`` has bit ``y`` set when the pair {x, y} has state ``c`` as
+    seen from ``x``: the stored state at the smaller end, its ``far`` entry
+    at the larger.
     """
     n = graph.n
-    back = far_end_states(graph)
+    back = graph.far
     masks = [[0] * n for _ in back]
     pair_colors = iter(graph.colors)
     for i in range(n):
@@ -509,15 +455,6 @@ def neighborhood_masks(graph):
             masks[c][i] |= 1 << j
             masks[back[c]][j] |= bit_i
     return masks
-
-
-def far_end_states(graph):
-    """``back[c]``: the state that the larger end of a pair in state ``c``
-    sees in :func:`neighborhood_masks`, one entry per mask row (the mirrored
-    arc code on digraphs, the color itself on multicolor graphs)."""
-    if isinstance(graph, DiGraph):
-        return tuple(mirror(c) for c in DIR_CODES)
-    return tuple(range(graph.r + 1))
 
 
 def find_induced(masks, small, banned=None, every=None):
@@ -624,23 +561,17 @@ def hamming_normalized(g, g2) -> Fraction:
 
 
 def color_density(graph):
-    """Exact per-color pair densities.
+    """Exact pair densities, one per state in state order.
 
     Multicolor graphs give a DensityVector; digraphs give the 4-tuple of
     densities in pair-code order (no-arc, both-ways, forward, backward).
     """
-    m = pair_count(graph.n)
     if graph.n < 2:
         raise ValueError("density needs at least 2 vertices")
-    if isinstance(graph, ColoredGraph):
-        counts = [0] * graph.r
-        for c in graph.colors:
-            counts[c - 1] += 1
-        return DensityVector(tuple(Fraction(k, m) for k in counts))
-    counts = [0, 0, 0, 0]
-    for c in graph.colors:
-        counts[c] += 1
-    return tuple(Fraction(k, m) for k in counts)
+    m = pair_count(graph.n)
+    dens = tuple(Fraction(graph.colors.count(s), m)
+                 for s in range(graph.first_state, len(graph.far)))
+    return DensityVector(dens) if graph.r else dens
 
 
 def dir_density(graph: DiGraph, pal) -> DirDensity:

@@ -73,7 +73,6 @@ from .graphs import (
     DiGraph,
     DirDensity,
     PropertyFamily,
-    far_end_states,
     find_induced,
     neighborhood_masks,
     pair_count,
@@ -222,7 +221,7 @@ def exact_dist(graph, family: PropertyFamily, max_n=None):
     alphabet = family.states
     colors = list(graph.colors)
     masks = neighborhood_masks(graph)
-    back = far_end_states(graph)
+    back = graph.far
     ends = list(pairs(graph.n))
     frozen = 0
     images = []
@@ -341,13 +340,15 @@ def _one_estimate(args):
 
 
 def estimate_dist(n, dens, family: PropertyFamily, trials, seed,
-                  kmax=2, mode="auto", max_n=None, map_fn=map) -> EstimateStats:
+                  kmax=2, mode="auto", max_n=None, map_fn=map, **kwargs) -> EstimateStats:
     """Monte Carlo estimate of the normalized distance of random graphs.
 
     "exact" mode runs the branch-and-bound oracle per sample; "algorithmic"
     edits by the dist_upper certificate type, so its values upper-bound the
     exact ones sample by sample under shared seeds.  ``map_fn`` lets callers
     fan trials out to a worker pool; results do not depend on scheduling.
+    Other keywords go to ``dist_upper`` (the enumeration's
+    ``candidate_ceiling``).
     """
     if n < 2:
         raise ValueError("need at least two vertices: distances are normalized by the pair count")
@@ -357,7 +358,7 @@ def estimate_dist(n, dens, family: PropertyFamily, trials, seed,
         raise ValueError("mode must be exact, algorithmic or auto")
     certificate = None
     if mode == "algorithmic":
-        bound = dist_upper(family, dens, kmax)
+        bound = dist_upper(family, dens, kmax, **kwargs)
         certificate = (bound.certificate.crg_type, bound.certificate.weights)
     jobs = [
         (n, dens, family, mode, max_n, certificate, derive_seed(seed, i))

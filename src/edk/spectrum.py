@@ -29,7 +29,16 @@ import itertools
 from dataclasses import dataclass
 
 from .crg import _make, in_admissible_set
-from .graphs import BIEDGE, BWD, FWD, NONEDGE, DiGraph, PropertyFamily, arcs_acyclic, pair_count
+from .graphs import (
+    BIEDGE,
+    BWD,
+    FWD,
+    NONEDGE,
+    DiGraph,
+    PropertyFamily,
+    neighborhood_masks,
+    pair_count,
+)
 
 WEAK = "weak"
 STRONG = "strong"
@@ -49,19 +58,19 @@ class CliqueSpectrum:
 
 
 def is_acyclic(d: DiGraph) -> bool:
-    """Whether the single-arc pairs contain no directed cycle.
+    """Whether the single-arc pairs contain no directed cycle, that is,
+    whether sinks can be peeled off until no vertex is left.
 
     Both-ways and no-arc pairs are ignored.
     """
-    arcs = []
-    for i in range(d.n):
-        for j in range(i + 1, d.n):
-            c = d.color(i, j)
-            if c == FWD:
-                arcs.append((i, j))
-            elif c == BWD:
-                arcs.append((j, i))
-    return arcs_acyclic(d.n, arcs)
+    out = neighborhood_masks(d)[FWD]  # out[x]: the y with a single arc x -> y
+    left = (1 << d.n) - 1
+    while left:
+        sink = next((x for x in range(d.n) if left >> x & 1 and not out[x] & left), None)
+        if sink is None:
+            return False
+        left ^= 1 << sink
+    return True
 
 
 def is_transitive_tournament(d: DiGraph) -> bool:

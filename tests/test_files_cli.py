@@ -440,6 +440,26 @@ class TestCliErrorKinds:
         assert code == 1
         assert captured.err.startswith("error: enumeration would examine")
 
+    def test_estimate_honours_the_ceiling(self, capsys, prop_files):
+        code = main(["estimate", "--property", str(prop_files["rainbow"]), "--n", "5",
+                     "--p", "1/3,1/3,1/3", "--trials", "1", "--seed", "1",
+                     "--mode", "algorithmic", "--kmax", "3", "--ceiling", "10"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: enumeration would examine")
+
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--property", "{rainbow}", "--graph", "{rgraph}", "--jobs", "2"],
+        ["oracle", "--property", "{rainbow}", "--graph", "{rgraph}", "--format", "json"],
+        ["sample", "--n", "3", "--seed", "1", "--p", "1/2,1/2", "--ceiling", "5"],
+        ["chi", "--property", "{rainbow}", "--format", "text"],
+    ])
+    def test_flags_a_command_does_not_read_are_usage_errors(self, capsys, prop_files, argv):
+        argv = [a.format(rainbow=prop_files["rainbow"], rgraph=prop_files["rgraph"])
+                for a in argv]
+        assert main(argv) == 2
+        assert capsys.readouterr().out == ""
+
     def test_grid_step_must_divide_one(self, capsys, prop_files):
         code = main(["distfn", "--property", str(prop_files["rainbow"]), "--kmax", "1",
                      "--grid", "0"])

@@ -27,7 +27,17 @@ from edk.catalog import (
     triangle,
 )
 from edk.files import format_graph_block
-from edk.graphs import PALETTES, find_induced, neighborhood_masks, pair_count
+from edk.graphs import (
+    BWD,
+    FWD,
+    MIRROR,
+    NONEDGE,
+    PALETTES,
+    find_induced,
+    neighborhood_masks,
+    pair_count,
+    pair_index,
+)
 from oracles import (
     brute_all_copies,
     brute_contains_induced,
@@ -198,6 +208,69 @@ class TestInduced:
         once = edk.induced(edk.induced(g, s), t)
         composed = edk.induced(g, [sorted(s)[i] for i in t])
         assert once == composed
+
+
+@st.composite
+def graph_and_relabeling(draw):
+    """A multicolor graph (r = 2, 3) or a digraph on at most 6 vertices, and
+    a sequence of distinct vertices of it (a permutation or shorter)."""
+    n = draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        r = draw(st.sampled_from((2, 3)))
+        colors, make = st.integers(1, r), (lambda n, cs: ColoredGraph(n, r, cs))  # noqa: E731
+    else:
+        colors, make = st.sampled_from((0, 1, 2, 3)), DiGraph
+    g = make(n, tuple(draw(st.lists(colors, min_size=pair_count(n), max_size=pair_count(n)))))
+    perm = draw(st.permutations(range(n)))[:draw(st.integers(0, n))]
+    return g, perm
+
+
+class TestGraphBody:
+    """Both graph classes read, relabel and write pairs through ``far``,
+    checked against the definitions pair by pair."""
+
+    @staticmethod
+    def far_end(g, state):
+        """The state seen from a pair's larger end, written out per arity."""
+        if isinstance(g, DiGraph):
+            return {FWD: BWD, BWD: FWD}.get(state, state)
+        return state
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(graph_and_relabeling(), st.data())
+    def test_color_permuted_induced_recolored(self, case, data):
+        g, perm = case
+        for i, j in itertools.combinations(range(g.n), 2):
+            assert g.color(i, j) == g.colors[pair_index(g.n, i, j)]
+            assert g.color(j, i) == self.far_end(g, g.color(i, j)) == g.far[g.color(i, j)]
+        h = g.permuted(perm)
+        assert h.n == len(perm) and type(h) is type(g) and h.r == g.r
+        for a, b in itertools.permutations(range(h.n), 2):
+            assert h.color(a, b) == g.color(perm[a], perm[b])
+        sub = sorted(perm)
+        h = g.induced(perm)
+        assert h.n == len(sub)
+        for a, b in itertools.permutations(range(h.n), 2):
+            assert h.color(a, b) == g.color(sub[a], sub[b])
+        if g.n >= 2:
+            i, j = sorted(data.draw(st.permutations(range(g.n)))[:2], reverse=True)
+            state = data.draw(st.sampled_from(g.far[g.first_state:]))
+            h = g.recolored(i, j, state)
+            assert h.color(i, j) == state and h.color(j, i) == self.far_end(g, state)
+            assert edk.hamming(g, h) == (g.color(i, j) != state)
+
+    def test_digraph_recolored_from_the_larger_end_stores_the_mirror(self):
+        g = DiGraph(3, (NONEDGE,) * 3)
+        for code in (NONEDGE, edk.BIEDGE, FWD, BWD):
+            assert g.recolored(2, 0, code).colors[pair_index(3, 0, 2)] == MIRROR[code]
+        assert g.recolored(2, 0, FWD).colors == (NONEDGE, BWD, NONEDGE)
+
+    def test_recolored_refuses_unknown_states_from_either_end(self):
+        for g in (ColoredGraph.complete(3, 2, 1), DiGraph(3, (NONEDGE,) * 3)):
+            for i, j in ((0, 2), (2, 0)):
+                for state in (-1, 7):
+                    with pytest.raises(ValueError):
+                        g.recolored(i, j, state)
 
 
 class TestContainment:
@@ -375,6 +448,12 @@ class TestDensities:
         assert edk.color_density(k5_two_cycles()) == DensityVector.of(
             Fraction(1, 2), Fraction(1, 2)
         )
+
+    def test_digraph_arc_directions_counted_apart(self):
+        g = DiGraph(3, (FWD, FWD, NONEDGE))
+        third = Fraction(1, 3)
+        assert edk.color_density(g) == (third, 0, 2 * third, 0)
+        assert edk.color_density(g.permuted([2, 1, 0])) == (third, 0, 0, 2 * third)
 
     def test_all_biedge_digraph(self):
         g = DiGraph(4, (BIEDGE,) * 6)

@@ -27,7 +27,7 @@ from edk.catalog import (
 )
 from edk.errors import SizeGuardError
 from edk.editing import sample_partition
-from edk.graphs import PALETTES, mirror, neighborhood_masks, pair_count, pair_index
+from edk.graphs import MIRROR, PALETTES, neighborhood_masks, pair_count, pair_index
 from edk.oracle import (
     _hitting_set,
     _passes,
@@ -382,7 +382,7 @@ class TestExactInvariants:
         pal, dens = pal_dens
         family = cyclic_triangle_family(pal)
         g = sample_digraph(n, dens, seed)
-        reversed_arcs = DiGraph(n, tuple(mirror(c) for c in g.colors))
+        reversed_arcs = DiGraph(n, tuple(MIRROR[c] for c in g.colors))
         assert exact_dist(reversed_arcs, family)[0] == exact_dist(g, family)[0]
 
 
