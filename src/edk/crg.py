@@ -408,16 +408,23 @@ def _minimal(needs):
 
 def _free_rows(needs, edge_choices, width):
     """Every row of ``width`` edge choices that covers none of ``needs``
-    (packed as ``_extension_needs`` packs them)."""
+    (packed as ``_extension_needs`` packs them), in product order.  Rows
+    grow one position at a time, and a prefix is dropped once it covers a
+    need with no nonzero field left after it: every row it starts does."""
     full = edge_choices[-1]
+    span = full.bit_length()
+    later = [0] * (width + 1)  # the needs with a nonzero field at x or beyond
+    for x in reversed(range(width)):
+        later[x] = later[x + 1] | sum(1 << j for j, need in enumerate(needs)
+                                      if need >> span * x & full)
     rows = [((), (1 << len(needs)) - 1)]  # a prefix and the needs it may still cover
     for x in range(width):
-        shift = full.bit_length() * x
+        shift, done = span * x, ~later[x + 1]
         hits = [sum(1 << j for j, need in enumerate(needs) if not need >> shift & full & ~e)
                 for e in edge_choices]
         rows = [(row + (e,), live & hit) for row, live in rows
-                for e, hit in zip(edge_choices, hits)]
-    return [row for row, live in rows if not live]
+                for e, hit in zip(edge_choices, hits) if not live & hit & done]
+    return [row for row, _ in rows]
 
 
 def _scores(table, power):

@@ -65,7 +65,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .crg import enumerate_types, in_admissible_set
+from .crg import _MIRROR, enumerate_types, in_admissible_set
 from .errors import AsymmetricFamilyError, CertificateError, TrivialPropertyError
 from .graphs import BIEDGE, BWD, DIR_CODES, FWD, NONEDGE, DensityVector, DirDensity, PropertyFamily
 from .ratlin import simplex_max_lex, solve_int
@@ -127,13 +127,24 @@ def _scaled_entries(masses):
 def _shapes(family, types):
     """Per type, in list order, its shape: the vertex count k and, per mask
     bit, the ordered vertex pairs of its table, the diagonal included, whose
-    mask holds the bit.  f depends on a type through its shape alone."""
+    mask holds the bit.  f depends on a type through its shape alone.
+
+    A shape is summed in one int, one field per bit, wide enough for k^2:
+    ``one[m]`` puts a 1 in the field of each bit of mask m, and serves a
+    vertex set; ``two[m]`` adds the mask seen from the pair's other end,
+    and serves an edge set."""
     colors = len(DIR_CODES) if family.is_directed else family.r
+    far = _MIRROR if family.is_directed else range(1 << colors)
     shapes = []
-    for t in types:
-        tally = collections.Counter(itertools.chain.from_iterable(t.table))
-        shapes.append((t.k, tuple(sum(n for mask, n in tally.items() if mask >> bit & 1)
-                                  for bit in range(colors))))
+    for k, run in itertools.groupby(types, operator.attrgetter("k")):
+        width = (k * k).bit_length()
+        field = (1 << width) - 1
+        one = [sum(1 << width * bit for bit in range(colors) if m >> bit & 1)
+               for m in range(1 << colors)]
+        two = [a + one[b] for a, b in zip(one, far)]
+        for t in run:
+            total = sum(map(one.__getitem__, t.vertex_sets)) + sum(map(two.__getitem__, t.edge_sets))
+            shapes.append((k, tuple(total >> width * bit & field for bit in range(colors))))
     return shapes
 
 

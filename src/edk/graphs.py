@@ -136,8 +136,13 @@ class _GraphBody:
     """What ColoredGraph and DiGraph share: every pair is read, written and
     relabeled through the class's ``far`` table."""
 
+    def _check_pair(self, i, j):
+        if i == j or not (0 <= i < self.n and 0 <= j < self.n):
+            raise ValueError(f"no pair ({i}, {j}) on {self.n} vertices")
+
     def color(self, i, j):
         """Pair state as seen from the ordered pair (i, j)."""
+        self._check_pair(i, j)
         c = self.colors[pair_index(self.n, i, j)]
         return c if i < j else self.far[c]
 
@@ -153,6 +158,7 @@ class _GraphBody:
 
     def recolored(self, i, j, state):
         """The graph with pair (i, j) in ``state`` as seen from i."""
+        self._check_pair(i, j)
         if i > j:
             # a state with no far entry is left for validation to refuse
             i, j, state = j, i, self.far[state] if state in self.far else state

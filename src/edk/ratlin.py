@@ -2,8 +2,10 @@
 solver and a simplex solver with a lexicographic objective.
 
 Systems stay tiny (a handful of variables), so plain elimination and a
-dense tableau are the right tools.  The solver works on Python ints, the
-simplex over :class:`fractions.Fraction`.
+small tableau are the right tools.  The solver works on Python ints, the
+simplex over :class:`fractions.Fraction`, on a tableau with one column per
+nonbasic variable and none per basic one: Bland's rule picks variables by
+index, not by column, so it makes the pivots a column per variable would.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def solve_int(rows):
@@ -43,78 +44,57 @@ def solve_int(rows):
     return prev, [row[n] for row in rows]
 
 
-def _tadd(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def _tscale(s, u):
-    return tuple(s * a for a in u)
-
-
 def simplex_max_lex(rows, rhs, objectives):
     """Maximize a lexicographic objective over {x >= 0 : rows . x <= rhs}.
 
     ``objectives[j]`` is the objective tuple attached to variable j; the
     program maximizes sum_j x_j * objectives[j] under tuple comparison.  All
     rhs entries must be nonnegative so the slack basis is feasible.  Returns
-    (x, objective value).  Bland's rule guarantees termination.
+    (x, objective value).  Bland's rule guarantees termination: enter the
+    least variable index whose reduced cost is positive, and leave on the
+    least ratio, ties to the least basic variable index.  Column j holds
+    nonbasic variable ``free[j]``; a pivot swaps it with the leaving one.
     """
-    m = len(rows)
     n = len(objectives)
     depth = len(objectives[0]) if objectives else 1
     zero_t = (ZERO,) * depth
-    for b in rhs:
-        if b < 0:
-            raise ValueError("simplex start needs nonnegative rhs")
-
-    # tableau over structural + slack variables
-    tab = []
-    for i, row in enumerate(rows):
-        line = [Fraction(v) for v in row] + [ZERO] * m + [Fraction(rhs[i])]
-        line[n + i] = ONE
-        tab.append(line)
-    cost = [tuple(Fraction(v) for v in obj) for obj in objectives] + [zero_t] * m
-    basis = list(range(n, n + m))
+    if any(v < 0 for v in rhs):
+        raise ValueError("simplex start needs nonnegative rhs")
+    tab = [[Fraction(v) for v in (*row, b)] for row, b in zip(rows, rhs)]  # rhs last
+    red = [tuple(Fraction(v) for v in obj) for obj in objectives]  # reduced costs per column
+    free = list(range(n))
+    basis = list(range(n, n + len(tab)))
+    value = zero_t
 
     while True:
-        # reduced costs via the basic cost combination
-        entering = -1
-        for j in range(n + m):
-            if j in basis:
-                continue
-            red = cost[j]
-            for i in range(m):
-                cb = cost[basis[i]]
-                if cb != zero_t and tab[i][j] != 0:
-                    red = _tadd(red, _tscale(-tab[i][j], cb))
-            if red > zero_t:
-                entering = j
-                break  # Bland: first improving index
-        if entering < 0:
+        s = min((j for j in range(n) if red[j] > zero_t), key=free.__getitem__, default=-1)
+        if s < 0:
             break
-        ratio = None
         leaving = -1
-        for i in range(m):
-            coef = tab[i][entering]
-            if coef > 0:
-                r = tab[i][-1] / coef
-                if ratio is None or r < ratio or (r == ratio and basis[i] < basis[leaving]):
-                    ratio = r
-                    leaving = i
+        for i, row in enumerate(tab):
+            if row[s] > 0:
+                r = row[-1] / row[s]
+                if leaving < 0 or r < ratio or (r == ratio and basis[i] < basis[leaving]):
+                    ratio, leaving = r, i
         if leaving < 0:
             raise ValueError("objective unbounded")
-        piv = tab[leaving][entering]
-        tab[leaving] = [v / piv for v in tab[leaving]]
-        for i in range(m):
-            if i != leaving and tab[i][entering] != 0:
-                f = tab[i][entering]
-                tab[i] = [a - f * b for a, b in zip(tab[i], tab[leaving])]
-        basis[leaving] = entering
+        # the exchange: column s now holds the leaving variable
+        inv = 1 / tab[leaving][s]
+        top = tab[leaving] = [v * inv for v in tab[leaving]]
+        top[s] = inv
+        for i, row in enumerate(tab):
+            f = row[s]
+            if i != leaving and f:
+                tab[i] = [a - f * t for a, t in zip(row, top)]
+                tab[i][s] = -f * inv
+        cost = red[s]
+        red = [tuple(a - c * t for a, c in zip(rj, cost)) for rj, t in zip(red, top)]
+        red[s] = tuple(-c * inv for c in cost)
+        value = tuple(v + c * ratio for v, c in zip(value, cost))
+        free[s], basis[leaving] = basis[leaving], free[s]
 
     x = [ZERO] * n
-    value = zero_t
-    for i, b in enumerate(basis):
-        if b < n:
-            x[b] = tab[i][-1]
-            value = _tadd(value, _tscale(x[b], cost[b]))
+    for row, v in zip(tab, basis):
+        if v < n:
+            x[v] = row[-1]
     return x, value

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -572,3 +573,105 @@ def brute_affine_forms(family, types):
     return [(c0, cf) for i, (c0, cf) in enumerate(out)
             if not any(j != i and d0 <= c0 and all(a <= b for a, b in zip(df, cf))
                        for j, (d0, df) in enumerate(out))]
+
+
+def _tadd(u, v):
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def _tscale(s, u):
+    return tuple(s * a for a in u)
+
+
+def dense_simplex_max_lex(rows, rhs, objectives):
+    """Maximize a lexicographic objective over {x >= 0 : rows . x <= rhs}
+    on a dense tableau over the structural and slack variables, the reduced
+    costs recomputed from the basic costs at every step; Bland's rule.
+    Returns (x, objective value)."""
+    zero, one = Fraction(0), Fraction(1)
+    m = len(rows)
+    n = len(objectives)
+    depth = len(objectives[0]) if objectives else 1
+    zero_t = (zero,) * depth
+    for b in rhs:
+        if b < 0:
+            raise ValueError("simplex start needs nonnegative rhs")
+
+    # tableau over structural + slack variables
+    tab = []
+    for i, row in enumerate(rows):
+        line = [Fraction(v) for v in row] + [zero] * m + [Fraction(rhs[i])]
+        line[n + i] = one
+        tab.append(line)
+    cost = [tuple(Fraction(v) for v in obj) for obj in objectives] + [zero_t] * m
+    basis = list(range(n, n + m))
+
+    while True:
+        # reduced costs via the basic cost combination
+        entering = -1
+        for j in range(n + m):
+            if j in basis:
+                continue
+            red = cost[j]
+            for i in range(m):
+                cb = cost[basis[i]]
+                if cb != zero_t and tab[i][j] != 0:
+                    red = _tadd(red, _tscale(-tab[i][j], cb))
+            if red > zero_t:
+                entering = j
+                break  # Bland: first improving index
+        if entering < 0:
+            break
+        ratio = None
+        leaving = -1
+        for i in range(m):
+            coef = tab[i][entering]
+            if coef > 0:
+                r = tab[i][-1] / coef
+                if ratio is None or r < ratio or (r == ratio and basis[i] < basis[leaving]):
+                    ratio = r
+                    leaving = i
+        if leaving < 0:
+            raise ValueError("objective unbounded")
+        piv = tab[leaving][entering]
+        tab[leaving] = [v / piv for v in tab[leaving]]
+        for i in range(m):
+            if i != leaving and tab[i][entering] != 0:
+                f = tab[i][entering]
+                tab[i] = [a - f * b for a, b in zip(tab[i], tab[leaving])]
+        basis[leaving] = entering
+
+    x = [zero] * n
+    value = zero_t
+    for i, b in enumerate(basis):
+        if b < n:
+            x[b] = tab[i][-1]
+            value = _tadd(value, _tscale(x[b], cost[b]))
+    return x, value
+
+
+def brute_free_rows(needs, edge_choices, width):
+    """Every row of ``width`` edge choices, in product order, that covers
+    none of ``needs``: a row covers a need when, at each position x, its
+    edge set holds the need's field x (fields as wide as the largest
+    choice)."""
+    full = edge_choices[-1]
+    span = full.bit_length()
+
+    def covers(row, need):
+        return all(not (need >> span * x & full) & ~e for x, e in enumerate(row))
+
+    return [row for row in itertools.product(edge_choices, repeat=width)
+            if not any(covers(row, need) for need in needs)]
+
+
+def brute_shapes(family, types):
+    """Per type, its vertex count and, per mask bit, how many cells of its
+    mask table (the diagonal included) hold the bit, tallied by a Counter."""
+    colors = 4 if family.is_directed else family.r
+    shapes = []
+    for t in types:
+        tally = Counter(mask for row in t.table for mask in row)
+        shapes.append((t.k, tuple(sum(n for mask, n in tally.items() if mask >> bit & 1)
+                                  for bit in range(colors))))
+    return shapes

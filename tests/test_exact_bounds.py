@@ -1,6 +1,7 @@
-"""The exact bounds pass: integer support enumeration for g and incremental
-admissibility in the type enumeration, each against the reference it
-replaced in tests/oracles.py, plus the certificate check."""
+"""The exact bounds pass: integer support enumeration for g, incremental
+admissibility in the type enumeration and its free rows, the type shapes
+and the simplex of the maximum, each against the reference it replaced in
+tests/oracles.py, plus the certificate check."""
 
 import hashlib
 import itertools
@@ -13,10 +14,17 @@ from hypothesis import strategies as st
 
 import edk
 from edk import CertificateError, ColoredGraph, DiGraph, RType, catalog
-from edk.crg import canonical_key
+from edk.crg import _choices, _free_rows, canonical_key
+from edk.distance import _shapes
 from edk.graphs import BWD, FWD, PALETTES, pair_count
-from edk.ratlin import solve_int
-from oracles import brute_enumerate_types, brute_g_value
+from edk.ratlin import simplex_max_lex, solve_int
+from oracles import (
+    brute_enumerate_types,
+    brute_free_rows,
+    brute_g_value,
+    brute_shapes,
+    dense_simplex_max_lex,
+)
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -273,3 +281,119 @@ def test_guard_candidate_counts(family, kmax, ceiling, candidates):
     with pytest.raises(edk.EnumerationGuardError) as info:
         list(edk.enumerate_types(family, kmax, candidate_ceiling=ceiling))
     assert info.value.candidates == candidates
+
+
+@st.composite
+def small_lps(draw):
+    """Programs with 1-8 rows, 1-4 variables and objective tuples of depth
+    1-3: nonnegative rhs with many zeros, so that ratios tie, and columns
+    with no positive entry, so that some programs are unbounded."""
+    m, n, depth = draw(st.integers(1, 8)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    entry = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2, 3)))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    rhs = draw(st.lists(st.sampled_from((0, 0, 0, 1, 2, Fraction(1, 2))), min_size=m, max_size=m))
+    objectives = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * depth), min_size=n, max_size=n))
+    return rows, rhs, objectives
+
+
+def _solved(simplex, lp):
+    """(x, value), or the ValueError's message."""
+    try:
+        return simplex(*lp)
+    except ValueError as exc:
+        return str(exc)
+
+
+BOUNDS_FAMILIES = {  # the bench families and kmax of dist_max_upper
+    "qr7": (catalog.qr7_family(), 3),
+    "cyclic-full": (catalog.cyclic_triangle_family("full"), 2),
+    "rainbow": (catalog.rainbow_triangle_family(), 3),
+    "mono": (catalog.mono_triangle_family(), 3),
+    "both-orien": (catalog.both_triangles_family("orien"), 4),
+    "two-mono": (catalog.two_mono_triangles_family(), 4),
+}
+
+
+class TestSimplexAgainstDenseTableau:
+    """The condensed tableau makes the pivots of the dense one it replaced:
+    the same (x, value), or the same refusal."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(small_lps())
+    def test_random_programs(self, lp):
+        assert _solved(simplex_max_lex, lp) == _solved(dense_simplex_max_lex, lp)
+
+    # Optima with more than one vertex, where the rules pick the vertex.
+    # Random programs seldom show a rule: entering by column position in
+    # place of variable index changed (x, value) in about 1 of 1000 of
+    # them, and leaving ties broken by row index in 1 of 200000.
+    @pytest.mark.parametrize("lp, x, value", [
+        # at the fifth pivot x_1 leaves on a tie with the slack of row 1, which comes first
+        (([[1, 0, 0, -1], [1, 0, 0, 1], [0, 1, -1, -1], [1, 1, 1, 1]], [0, 1, 0, 1],
+          [(2, -1), (0, 2), (2, 0), (2, 0)]), [0, 0, 1, 0], (2, 0)),
+        # at the third pivot x_2 enters before the slack of row 1, which holds column 0
+        (([[2, 1, 1], [2, -1, 0]], [2, 1], [(1,), (1,), (1,)]), [0, 0, 2], (2,)),
+    ])
+    def test_the_rules_pick_the_vertex(self, lp, x, value):
+        assert simplex_max_lex(*lp) == dense_simplex_max_lex(*lp) == (x, value)
+
+    def test_negative_rhs_is_refused(self):
+        lp = ([[1]], [-1], [(1,)])
+        assert _solved(simplex_max_lex, lp) == _solved(dense_simplex_max_lex, lp) == (
+            "simplex start needs nonnegative rhs")
+
+    @pytest.mark.parametrize("name", sorted(BOUNDS_FAMILIES))
+    def test_bounds_families(self, name, monkeypatch):
+        programs = []
+
+        def recorded(*lp):
+            programs.append(lp)
+            return simplex_max_lex(*lp)
+
+        monkeypatch.setattr(edk.distance, "simplex_max_lex", recorded)
+        edk.dist_max_upper(*BOUNDS_FAMILIES[name])
+        assert len(programs) == 1
+        assert simplex_max_lex(*programs[0]) == dense_simplex_max_lex(*programs[0])
+
+
+class TestShapesAgainstCounter:
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(small_families())
+    def test_small_families(self, case):
+        family, kmax = case
+        types = list(edk.enumerate_types(family, kmax))
+        assert _shapes(family, types) == brute_shapes(family, types)
+
+    def test_full_tables(self):
+        """Full edge sets and vertex sets short of the top state: every
+        lower field counts k^2, which needs the whole width at k = 2, 4, 8."""
+        for family in (catalog.mono_triangle_family(), catalog.cyclic_triangle_family("full")):
+            full = family.full_mask
+            types = [edk.crg._make(family, (full >> 1,) * k, (full,) * pair_count(k))
+                     for k in (1, 2, 3, 4, 7, 8)]
+            assert _shapes(family, types) == brute_shapes(family, types)
+
+
+@st.composite
+def free_row_cases(draw):
+    """Up to 8 needs over rows of 1-4 edge choices of a palette (up to 3
+    on ``full``, whose 15 choices make the reference slow), each field of
+    a need a subset of the palette, zero included."""
+    family = draw(st.sampled_from((catalog.mono_triangle_family(r=2),
+                                   catalog.mono_triangle_family(),
+                                   catalog.cyclic_triangle_family("full"),
+                                   catalog.cyclic_triangle_family("orien"))))
+    _, edge_choices = _choices(family)
+    full = edge_choices[-1]
+    width = draw(st.integers(1, 3 if len(edge_choices) > 7 else 4))
+    field = st.sampled_from([0, *edge_choices])
+    needs = draw(st.lists(st.lists(field, min_size=width, max_size=width), max_size=8))
+    span = full.bit_length()
+    return [sum(f << span * x for x, f in enumerate(need)) for need in needs], edge_choices, width
+
+
+class TestFreeRowsAgainstProduct:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(free_row_cases())
+    def test_random_needs(self, case):
+        assert _free_rows(*case) == brute_free_rows(*case)

@@ -272,6 +272,16 @@ class TestGraphBody:
                     with pytest.raises(ValueError):
                         g.recolored(i, j, state)
 
+    @pytest.mark.parametrize("g", [ColoredGraph(3, 3, (1, 2, 3)), DiGraph(3, (NONEDGE, FWD, BWD))])
+    @pytest.mark.parametrize("i, j", [(0, 0), (1, 1), (2, 2), (-1, 2), (2, -1), (0, 3), (0, 5)])
+    def test_refuses_what_is_not_a_pair(self, g, i, j):
+        """A vertex paired with itself or off the graph names the pair."""
+        message = rf"no pair \({i}, {j}\) on 3 vertices"
+        with pytest.raises(ValueError, match=message):
+            g.color(i, j)
+        with pytest.raises(ValueError, match=message):
+            g.recolored(i, j, g.first_state)
+
 
 class TestContainment:
     def test_mono_k3_in_mono_k4(self):
