@@ -4,7 +4,10 @@ One executable with subcommands for spectra, chromatic numbers, type
 enumeration, the distance function, editing, the exact oracle, samplers,
 Monte Carlo estimation, and the built-in reference checks.  Output is JSON
 (``--format csv`` where tabular), except that type listings are text unless
-``--format json``; rationals are serialized as "num/den" strings.  All
+``--format json``; rationals are serialized as "num/den" strings.
+``distfn`` takes ``--p`` or ``--grid``, not both; its CSV rows are a
+density's entries then the value, at each grid point, at ``--p``, or at the
+argmax.  All
 randomness sits behind an explicit ``--seed``.  A subcommand takes only the
 flags it reads: ``--jobs`` on ``edit`` and ``estimate``, ``--ceiling`` (the
 type enumeration's candidate ceiling) on those two and ``types`` and
@@ -180,9 +183,7 @@ def _cmd_distfn(args):
                            candidate_ceiling=args.ceiling)
         payload = {"kmax": args.kmax,
                    "grid": [{"p": _density_list(d), "value": _frac(v)} for d, v in rows]}
-        csv_rows = [_density_list(d) + [_frac(v)] for d, v in rows]
-        return _emit(args, payload, csv_rows=csv_rows)
-    if args.p is not None:
+    elif args.p is not None:
         dens = _parse_density(family, args.p)
         bound = dist_upper(family, dens, args.kmax, candidate_ceiling=args.ceiling)
         payload = {
@@ -192,21 +193,23 @@ def _cmd_distfn(args):
             "certificate_type": _type_json(bound.certificate.crg_type),
             "weights": [_frac(w) for w in bound.certificate.weights],
         }
-        return _emit(args, payload)
-    bound, dens = dist_max_upper(family, args.kmax, candidate_ceiling=args.ceiling)
-    lower = None
-    try:
-        lower = _frac(dist_lower_turan(family).value)
-    except TrivialPropertyError:
-        pass
-    payload = {
-        "max_value": _frac(bound.value),
-        "argmax": _density_list(dens),
-        "kmax": args.kmax,
-        "turan_lower": lower,
-        "certificate_type": _type_json(bound.certificate.crg_type),
-    }
-    return _emit(args, payload)
+        rows = [(dens, bound.value)]
+    else:
+        bound, dens = dist_max_upper(family, args.kmax, candidate_ceiling=args.ceiling)
+        lower = None
+        try:
+            lower = _frac(dist_lower_turan(family).value)
+        except TrivialPropertyError:
+            pass
+        payload = {
+            "max_value": _frac(bound.value),
+            "argmax": _density_list(dens),
+            "kmax": args.kmax,
+            "turan_lower": lower,
+            "certificate_type": _type_json(bound.certificate.crg_type),
+        }
+        rows = [(dens, bound.value)]
+    return _emit(args, payload, csv_rows=[_density_list(d) + [_frac(v)] for d, v in rows])
 
 
 def _edit_trial(payload):
@@ -395,8 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("distfn", "distance function bounds", _cmd_distfn, ceiling=True)
     p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--p", help="density vector, e.g. '1/3,1/3,1/3' (directed: 'p,q')")
-    p.add_argument("--grid", help="rational grid step, e.g. '1/12'")
+    where = p.add_mutually_exclusive_group()
+    where.add_argument("--p", help="density vector, e.g. '1/3,1/3,1/3' (directed: 'p,q')")
+    where.add_argument("--grid", help="rational grid step, e.g. '1/12'")
 
     p = command("edit", "randomized editing toward an admissible type", _cmd_edit, jobs=True,
                 ceiling=True)

@@ -13,7 +13,8 @@ every support and keeping the nonnegative candidates is exact even though M
 is usually indefinite.  Supports whose system is singular are skipped; their
 minima reappear on smaller supports.  Each system is solved in integers by
 fraction-free elimination, so only the winning weights and value become
-Fractions.
+Fractions.  A support is not solved when a lower bound on its stationary
+value already reaches the best so far (``_cannot_beat``, below).
 
 ``dist_upper`` solves one system per type: its full support (the p-core
 reduction of Marchant and Thomason, and of Martin).  It skips a type whose
@@ -28,6 +29,26 @@ give a line of minimizers running to a smaller support.  Every other type's
 full-support value is at least its g, so it cannot take the minimum's
 place.  On a list that is not closed the result is still a certified upper
 bound, but it may exceed the least g over the list.
+
+A type takes the best value's place only when its full-support weights w
+are all positive and (A w)_i is one lambda below the best value for every
+row i, A its scaled matrix.  With w >= 0 summing to one, lambda is at least
+three things, and a type at which one of them reaches the best value is
+ruled out unsolved:
+
+1. its least entry, read off the masks of its vertex and edge sets before
+   A is built: the masks whose entry is below the best value are kept as
+   a set, rebuilt when the best value improves (a directed mask seen from
+   the pair's other end has the same entry, as both arc directions carry
+   q, so the edge sets stand for both ends);
+2. its largest row minimum, since lambda = (A w)_i >= min_j a_ij;
+3. its least column sum over k, since k lambda, the sum of the rows of
+   A w, is the column sums averaged by w.
+
+A matrix met earlier is ruled out as well: its value, if it had one, is at
+least the best.  None of these skips a type that would have become the
+first strict minimum, so ``dist_upper`` returns what solving every type's
+full support returns, on every type list, closed under sub-types or not.
 
 The bounds read every type at a density through one integer table per
 density: the least common multiple of the density's denominators, and per
@@ -179,8 +200,7 @@ def g_value(m):
     for mask in range(1, 1 << k):
         support = [i for i in range(k) if mask >> i & 1]
         rows = [[a[i][j] for j in support] for i in support]
-        # w' M w on the support is at least its least entry: skip when that cannot win
-        if best is not None and min(map(min, rows)) * best[1] >= best[0]:
+        if best is not None and _cannot_beat(rows, best[0], best[1]):
             continue
         sol = _stationary(rows)
         if sol is None or any(v < 0 for v in sol[2]):
@@ -189,6 +209,16 @@ def g_value(m):
         if best is None or sol[0] * best[1] < best[0] * sol[1]:
             best_support, best = support, sol
     return _g_result(k, scale, best_support, best)
+
+
+def _cannot_beat(rows, num, den):
+    """Whether a stationary point with weights w >= 0 of the square integer
+    matrix A given by its rows has lambda >= num / den, for den > 0 (never,
+    for 1 / 0): each lambda = (A w)_i is at least the least entry of row i,
+    and k lambda, the sum of the rows of A w, is at least the least column
+    sum of A."""
+    return (max(map(min, rows)) * den >= num
+            or min(map(sum, zip(*rows))) * den >= len(rows) * num)
 
 
 def _stationary(rows):
@@ -251,34 +281,47 @@ def dist_upper(family: PropertyFamily, dens, kmax: int, types=None, **kwargs) ->
     when ``types`` is closed under sub-types up to isomorphism (see the
     module docstring), as it is when left to ``enumerate_types``.  On a list
     that is not closed the bound is still certified, but it may exceed the
-    least g over the list."""
+    least g over the list.
+
+    A type is ruled out unsolved when a lower bound on its stationary value
+    reaches the best value: its least entry, read off the masks of its
+    vertex and edge sets before its matrix is built, its largest row
+    minimum, or its least column sum over k.  A matrix met before is passed
+    over too.  Each skip drops only a type that cannot become the first
+    strict minimum, so the result is that of solving every type's full
+    support, on every list, closed or not (see the module docstring)."""
     _check_density(family, dens)
     types = _type_list(family, kmax, types, **kwargs)
     scale, entries = _scaled_entries(dens.masses)
     entry = entries.__getitem__
-    best_val = None
-    best = None
-    solved = {}
+    best = None  # (type, _stationary solution)
+    lam, det = 1, 0  # the best value times scale, lam / det: 1 / 0 before any
+    low = set(range(len(entries)))  # the masks whose entry is below it
+    seen = set()
     for t in types:
+        if low.isdisjoint(t.vertex_sets) and low.isdisjoint(t.edge_sets):
+            continue
         a = tuple(map(entry, itertools.chain.from_iterable(t.table)))  # scale * M, flat
-        if a in solved:
-            found = solved[a]
-        else:
-            # w' M w is at least the least entry of M: skip when that cannot win
-            if best_val is not None and min(a) * best_val.denominator >= best_val.numerator * scale:
-                continue
-            k = t.k
-            sol = _stationary([a[i:i + k] for i in range(0, k * k, k)])
-            # a zero weight ties the sub-type without that vertex, which comes earlier
-            found = solved[a] = (None if sol is None or min(sol[2]) <= 0
-                                 else _g_result(k, scale, range(k), sol))
-        if found is not None and (best_val is None or found[0] < best_val):
-            best_val, w = found
-            best = UpperCertificate(t, w, dens)
+        if a in seen:
+            continue
+        seen.add(a)
+        k = t.k
+        rows = [a[i:i + k] for i in range(0, k * k, k)]
+        if _cannot_beat(rows, lam, det):
+            continue
+        sol = _stationary(rows)
+        # a zero weight ties the sub-type without that vertex, which comes earlier
+        if sol is None or min(sol[2]) <= 0 or sol[0] * det >= lam * sol[1]:
+            continue
+        best = t, sol
+        lam, det = sol[0], sol[1]
+        low = {m for m, e in enumerate(entries) if e * det < lam}
     if best is None:
         raise ValueError("no type has a full-support solution with positive weights: "
                          "the type list is not closed under sub-types")
-    return DistBound(best_val, "upper", kmax, best)
+    t, sol = best
+    value, w = _g_result(t.k, scale, range(t.k), sol)
+    return DistBound(value, "upper", kmax, UpperCertificate(t, w, dens))
 
 
 def check_certificate(family: PropertyFamily, bound: DistBound) -> None:

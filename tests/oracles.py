@@ -528,6 +528,29 @@ def brute_dist_upper(dens, types):
     return best
 
 
+def brute_full_support_upper(dens, types):
+    """The least full-support value over ``types`` at a density, with no
+    type skipped: each type's Fraction penalty matrix M is solved over
+    Fractions for the w with M w constant and summing to one, and a type
+    counts only when that system is nonsingular and every weight is
+    positive.  The first strict minimum wins.  Returns (value, type,
+    weights), or None when no type counts."""
+    best = None
+    for t in types:
+        m = m_matrix(t, dens)
+        k = len(m)
+        rows = [list(row) + [-1] for row in m]
+        rows.append([1] * k + [0])
+        sol = _solve_fractions(rows, [0] * k + [1])
+        if sol is None or any(v <= 0 for v in sol[:k]):
+            continue
+        w = tuple(sol[:k])
+        val = quad_form(m, w)
+        if best is None or val < best[0]:
+            best = (val, t, w)
+    return best
+
+
 def brute_dist_upper_f(dens, types):
     """The least f (the average penalty entry) over ``types`` at a density;
     the first strict minimum wins.  Returns (value, type)."""

@@ -1,7 +1,8 @@
 """The exact bounds on integer density tables: dist_upper, dist_upper_f and
 the affine forms of f against the Fraction-matrix references in
-tests/oracles.py, a digest of the bounds recorded before the tables, and a
-digest of the density domain of every arity and palette."""
+tests/oracles.py, dist_upper's skipped types against solving every type, a
+digest of the bounds recorded before the tables, and a digest of the
+density domain of every arity and palette."""
 
 import hashlib
 from fractions import Fraction
@@ -12,9 +13,15 @@ from hypothesis import strategies as st
 
 import edk
 from edk import catalog
-from edk.distance import _affine_forms, _shapes, dist_upper_f
-from edk.graphs import BIEDGE, FWD, NONEDGE, DiGraph
-from oracles import brute_affine_forms, brute_dist_upper, brute_dist_upper_f
+from edk.crg import _MIRROR
+from edk.distance import _affine_forms, _scaled_entries, _shapes, dist_upper_f
+from edk.graphs import BIEDGE, FWD, NONEDGE, PALETTES, DiGraph
+from oracles import (
+    brute_affine_forms,
+    brute_dist_upper,
+    brute_dist_upper_f,
+    brute_full_support_upper,
+)
 from test_exact_bounds import CEILING, interior_points, small_families
 from test_type_model import catalog_families
 
@@ -161,6 +168,73 @@ class TestFullSupport:
         dens = edk.DensityVector.of(Fraction(1, 12), Fraction(1, 12), Fraction(5, 6))
         with pytest.raises(ValueError, match="not closed under sub-types"):
             edk.dist_upper(family, dens, 2, [edk.RType(3, (2, 2), (2,))])
+
+
+class _Unbuilt:
+    """A type whose mask table must not be read: its vertex and edge sets
+    alone rule it out."""
+
+    def __init__(self, k_type):
+        self.k, self.vertex_sets, self.edge_sets = k_type.k, k_type.vertex_sets, k_type.edge_sets
+
+    @property
+    def table(self):
+        raise AssertionError("the table of a type whose every entry reaches the best was read")
+
+
+class TestRuledOutUnsolved:
+    """dist_upper rules a type out by lower bounds on its stationary value
+    before building or solving its matrix; the result is that of solving
+    every type's full support, on every list."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_any_list_against_solving_every_type(self, data):
+        family, kmax = data.draw(small_families())
+        types = _types(family, kmax)
+        if not types:
+            return
+        for _ in range(3):
+            dens = data.draw(densities(family))
+            # the closed list, then a sublist in another order, closed or not
+            picks = data.draw(st.lists(st.integers(0, len(types) - 1), min_size=1,
+                                       max_size=min(len(types), 40), unique=True))
+            for given_types in (types, [types[i] for i in picks]):
+                expected = brute_full_support_upper(dens, given_types)
+                if expected is None:
+                    with pytest.raises(ValueError, match="not closed under sub-types"):
+                        edk.dist_upper(family, dens, kmax, given_types)
+                    continue
+                bound = edk.dist_upper(family, dens, kmax, given_types)
+                cert = bound.certificate
+                assert (bound.value, cert.crg_type, cert.weights) == expected
+                edk.check_certificate(family, bound)
+
+    def test_a_type_with_every_entry_at_least_the_best_is_not_built(self):
+        family = catalog.mono_triangle_family()
+        dens = edk.DensityVector.uniform(3)
+        single = edk.RType(3, (1,), ())  # g = 2/3
+        high = edk.RType(3, (1, 2), (1,))  # entries 2/3
+        bound = edk.dist_upper(family, dens, 2, [single, _Unbuilt(high)])
+        assert bound.value == Fraction(2, 3)
+
+    def test_a_type_below_the_best_only_on_its_edges_is_solved(self):
+        family = catalog.mono_triangle_family()
+        dens = edk.DensityVector.uniform(3)
+        single = edk.RType(3, (1,), ())  # g = 2/3
+        pair = edk.RType(3, (1, 1), (7,))  # entries 2/3 on the diagonal, 0 off it
+        bound = edk.dist_upper(family, dens, 2, [single, pair])
+        assert (bound.value, bound.certificate.crg_type) == (Fraction(1, 3), pair)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_a_mask_seen_from_the_other_end_has_the_same_entry(self, data):
+        kind = data.draw(st.sampled_from(sorted(PALETTES)))
+        code = PALETTES[kind].sorted_codes()[0]
+        family = edk.PropertyFamily.directed(kind, [DiGraph(3, (code,) * 3)])
+        dens = data.draw(densities(family))
+        _, entries = _scaled_entries(dens.masses)
+        assert [entries[m] for m in _MIRROR] == list(entries)
 
 
 # The six families of the benchmark's bounds workload, with its kmax.

@@ -1,4 +1,5 @@
-"""The exact bounds pass: integer support enumeration for g, incremental
+"""The exact bounds pass: integer support enumeration for g and the lower
+bounds on a stationary value that let it skip a support, incremental
 admissibility in the type enumeration and its free rows, the type shapes
 and the simplex of the maximum, each against the reference it replaced in
 tests/oracles.py, plus the certificate check."""
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 import edk
 from edk import CertificateError, ColoredGraph, DiGraph, RType, catalog
 from edk.crg import _choices, _free_rows, canonical_key
-from edk.distance import _shapes
+from edk.distance import _cannot_beat, _shapes, _stationary
 from edk.graphs import BWD, FWD, PALETTES, pair_count
 from edk.ratlin import simplex_max_lex, solve_int
 from oracles import (
@@ -87,6 +88,46 @@ class TestGAgainstFractions:
                 m = edk.m_matrix(t, dens)
                 assert edk.g_value(m) == brute_g_value(m)
             edk.check_certificate(family, edk.dist_upper(family, dens, kmax, types))
+
+
+@st.composite
+def integer_matrices(draw):
+    """Square integer matrices with k <= 5, not symmetric; in about half of
+    them a stationary point with weights >= 0, some of them zero, is
+    planted: the last column is set so that A w is constant for integer
+    weights w whose last entry is 1."""
+    k = draw(st.integers(1, 5))
+    rows = [draw(st.lists(st.integers(-20, 20), min_size=k, max_size=k)) for _ in range(k)]
+    if k > 1 and draw(st.booleans()):
+        w = draw(st.lists(st.integers(0, 4), min_size=k - 1, max_size=k - 1)) + [1]
+        c = draw(st.integers(-20, 40))
+        for row in rows:
+            row[-1] = c - sum(a * x for a, x in zip(row, w[:-1]))
+    return rows
+
+
+class TestLowerBoundsOnLambda:
+    """A stationary point with weights >= 0 has lambda = (A w)_i at least
+    the largest row minimum, and k lambda at least the least column sum, so
+    ``_cannot_beat`` may skip its support or type."""
+
+    @SETTINGS
+    @given(integer_matrices())
+    def test_a_nonnegative_stationary_point_meets_both_bounds(self, rows):
+        k = len(rows)
+        row_min = max(map(min, rows))
+        col_sum = min(map(sum, zip(*rows)))
+        assert _cannot_beat(rows, row_min, 1) and _cannot_beat(rows, col_sum, k)
+        sol = _stationary(rows)
+        if sol is None or min(sol[2]) < 0:
+            return
+        lam, det = sol[0], sol[1]
+        assert lam >= row_min * det and k * lam >= col_sum * det
+        # lambda plus 1 / (2 det) is above lambda, so it is not ruled out
+        assert not _cannot_beat(rows, 2 * lam + 1, 2 * det)
+
+    def test_nothing_is_ruled_out_before_a_best(self):
+        assert not _cannot_beat([[5, 7], [9, 6]], 1, 0)
 
 
 def interior_points(family, den):

@@ -103,6 +103,18 @@ class TestCli:
         assert len(lines) == 15  # compositions of 4 into 3 parts
         assert all(len(line.split(",")) == 4 for line in lines)
 
+    def test_distfn_point_and_max_csv(self, capsys, prop_files):
+        code, out = run(
+            capsys, "distfn", "--property", str(prop_files["rainbow"]),
+            "--p", "1/2,1/4,1/4", "--kmax", "2", "--format", "csv",
+        )
+        assert (code, out) == (0, "1/2,1/4,1/4,1/4\n")
+        code, out = run(
+            capsys, "distfn", "--property", str(prop_files["ctri"]), "--kmax", "1",
+            "--format", "csv",
+        )
+        assert (code, out) == (0, "0,1/2,1/2\n")  # the argmax, then the maximum
+
     def test_distfn_max(self, capsys, prop_files):
         code, out = run(
             capsys, "distfn", "--property", str(prop_files["ctri"]), "--kmax", "1"
@@ -459,6 +471,18 @@ class TestCliErrorKinds:
                 for a in argv]
         assert main(argv) == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("where", [
+        ["--p", "1/3,1/3,1/3", "--grid", "1/4"],
+        ["--grid", "1/4", "--p", "1/3,1/3,1/3"],
+    ])
+    def test_distfn_point_and_grid_are_exclusive(self, capsys, prop_files, where):
+        code = main(["distfn", "--property", str(prop_files["rainbow"]), "--kmax", "1"] + where)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "not allowed with argument" in captured.err
+        assert "--p" in captured.err and "--grid" in captured.err
 
     def test_grid_step_must_divide_one(self, capsys, prop_files):
         code = main(["distfn", "--property", str(prop_files["rainbow"]), "--kmax", "1",
