@@ -53,7 +53,6 @@ from .crg import (
     embeds,
     enumerate_types,
     in_admissible_set,
-    sub_type,
 )
 from .distance import (
     DistBound,

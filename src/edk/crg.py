@@ -24,11 +24,15 @@ from deleting one of its first-ranked vertices, and most of the other ways
 of building it are never tried.  Because the parent is admissible, a child
 can fail only through an embedding that uses the new vertex; per parent,
 those embeddings reduce to a short list of edge rows the new vertex must not
-cover, so a candidate is tested by a few mask comparisons.  Its canonical
-key is read off a flat tuple of masks by itemgetters, one per vertex
-permutation that sorts the vertex sets (the least encoding starts with
-them), built once per pattern of tied sets.  A type object is built only
-once per key.
+cover, so a candidate is tested by a few mask comparisons.  Such an
+embedding maps onto some set S of parent vertices plus the new vertex, and
+what it asks of the row depends only on the parent's mask table on S.  So
+one enumeration call walks each distinct table on a proper subset once, for
+every parent that holds it, and builds the free rows once per level for
+each distinct list of needs.  A candidate's canonical key is read off a
+flat tuple of masks by itemgetters, one per vertex permutation that sorts
+the vertex sets (the least encoding starts with them), built once per
+pattern of tied sets.  A type object is built only once per key.
 """
 
 from __future__ import annotations
@@ -187,10 +191,6 @@ class DirType(_TypeBody):
                 raise ValueError("edge sets must be nonempty palette subsets")
 
 
-def sub_type(k_type, subset):
-    return k_type.sub_type(subset)
-
-
 def canonical_key(k_type):
     """Lexicographically minimal encoding over all vertex permutations.
 
@@ -257,22 +257,35 @@ def _pair_bits(h):
                  for v in range(h.n))
 
 
-def _images(h, table, arrows, free=False):
+def _images(h, table, arrows, fits=None):
     """Yield every vertex map of ``h`` into the type with mask table
     ``table`` that carries each pair color into the set of its image vertex
     or edge (one-arrow classes as in ``embeds``), as one list rewritten
-    between yields.  With ``free``, an extra target vertex ``len(table)``
-    takes every pair that touches it; the caller tests those pairs.
+    between yields.
+
+    With ``fits`` (a :class:`_ClassFits` of ``h``), the maps are those
+    ``_extension_needs`` reads: an extra target vertex ``len(table)`` takes
+    every pair that touches it, and two prunes cut the walk without losing
+    a map that can give a need.  Onto: a map must use every target, the
+    extra one too, so a partial map stops once fewer vertices are left than
+    targets it has not used, and once exactly as many are left, the next
+    vertex goes only on an unused target.  Fit: a vertex goes on the extra
+    target only while the vertices there, J, fit one class of some vertex
+    choice (``fits[J]`` is not 0).  A map whose J fits no choice gives no
+    need, and fitting is hereditary (a map of ``h[J]`` restricts to every
+    ``h[J']``, J' in J), so no completion of a cut map gives one.  The test
+    reads every choice, not only those a parent extends by, because one
+    walk serves every parent that shares the sub-table.
     """
     bits = _pair_bits(h)
-    k = len(table)
+    n, k = h.n, len(table)
     ordered = [bin(table[x][x] & arrows).count("1") == 1 for x in range(k)]
     allowed = [list(row) + [-1] for row in table]  # -1: the free target's column
     for x in range(k):
         if ordered[x]:
             allowed[x][x] |= arrows
-    image = [0] * h.n
-    members = [0] * k  # a bitmask of the vertices placed on each target
+    image = [0] * n
+    members = [0] * (k + 1)  # a bitmask of the vertices placed on each target
     if arrows:
         out, into = ([sum(1 << u for u, b in enumerate(row) if b == 1 << code) for row in bits]
                      for code in (FWD, BWD))
@@ -290,11 +303,19 @@ def _images(h, table, arrows, free=False):
         return reach & into[v]
 
     def place(v):
-        if v == h.n:
+        tight = False
+        if fits is not None:
+            unused = members.count(0)
+            if unused > n - v:
+                return
+            tight = unused == n - v  # then v must go on a target not used yet
+        if v == n:
             yield image
             return
         row = bits[v]
         for x in range(k):
+            if tight and members[x]:
+                continue
             seen = allowed[x]
             for u in range(v):
                 if not row[u] & seen[image[u]]:
@@ -306,9 +327,11 @@ def _images(h, table, arrows, free=False):
                 members[x] |= 1 << v
                 yield from place(v + 1)
                 members[x] ^= 1 << v
-        if free:
+        if fits is not None and not (tight and members[k]) and fits[members[k] | 1 << v]:
             image[v] = k
+            members[k] |= 1 << v
             yield from place(v + 1)
+            members[k] ^= 1 << v
 
     return place(0)
 
@@ -355,10 +378,51 @@ def _make(family, vsets, esets):
     return RType(family.r, vsets, esets)
 
 
-def _extension_needs(parent, family, vertex_choices, class_fits, first):
-    """Per vertex choice from ``vertex_choices[first]`` on, the minimal rows
-    a new vertex must not cover, each packed into one int with one field, as
-    wide as a mask, per parent vertex.
+class _ClassFits(dict):
+    """Per bitmask J of the vertices of ``h``, the vertex choices (bit i for
+    ``choices[i]``) whose one-vertex class ``h[J]`` fits, computed when first
+    read.  A choice fits J only if it fits J less its top vertex, which the
+    walk in ``_images`` reads first, so only those are tested."""
+
+    def __init__(self, h, choices, arrows):
+        super().__init__()
+        self.h, self.choices, self.arrows = h, choices, arrows
+
+    def __missing__(self, group):
+        top = 1 << (group.bit_length() - 1)
+        live = self[group ^ top] if group ^ top else (1 << len(self.choices)) - 1
+        sub = self.h.induced([u for u in range(self.h.n) if group >> u & 1])
+        fit = self[group] = sum(1 << i for i, vs in enumerate(self.choices)
+                                if live >> i & 1 and _fits(sub, ((vs,),), self.arrows))
+        return fit
+
+
+def _onto_needs(class_fits, table):
+    """The needs, each a tuple with one field per vertex of ``table``, of
+    the maps of the forbidden graphs onto the type with mask table
+    ``table`` plus a new vertex (``_images`` with ``fits``), each with the
+    vertex choices it holds for (bit i for choice i) joined over its maps."""
+    k = len(table)
+    found = {}
+    for fits in class_fits:
+        h = fits.h
+        bits = _pair_bits(h)
+        for image in _images(h, table, fits.arrows, fits):
+            on_new = [u for u in range(h.n) if image[u] == k]
+            fields = [0] * k
+            for w, x in enumerate(image):
+                if x < k:
+                    for u in on_new:
+                        fields[x] |= bits[w][u]
+            need = tuple(fields)
+            found[need] = found.get(need, 0) | fits[sum(1 << u for u in on_new)]
+    return found
+
+
+def _extension_needs(parent, class_fits, memo, first, span):
+    """Per vertex choice from ``first`` on, the minimal rows a new vertex
+    must not cover, each packed into one int with one field, as wide as a
+    mask (``span`` bits), per parent vertex.
 
     The parent is admissible, so a forbidden ``h`` embeds in the parent plus
     a new vertex only by putting a nonempty set J of its vertices on the new
@@ -366,43 +430,55 @@ def _extension_needs(parent, family, vertex_choices, class_fits, first):
     ``h`` must map into the parent.  Such a map fixes, per parent vertex x,
     the colors ``need[x]`` that the new edge set at x must hold, so a child
     whose row holds every ``need[x]`` is inadmissible, and every
-    inadmissible child is caught this way.  ``class_fits`` caches, per
-    forbidden graph and J, which of all the vertex choices ``h[J]`` fits.
+    inadmissible child is caught this way.  ``class_fits`` holds one
+    :class:`_ClassFits` per forbidden graph.
+
+    Each such map is onto S plus the new vertex for exactly one set S of
+    parent vertices, its image set, with at most ``h.n - 1`` vertices and
+    possibly empty (all of ``h`` on the new vertex: a need with no field,
+    which rules the choice out).  Whether a map onto S passes, and the need
+    it gives, read only the parent's table on S, diagonal included.  So the
+    needs are the union, over such S, of ``_onto_needs`` of that sub-table
+    with field i moved to field S[i], and that union is the set a walk of
+    every map into the parent plus the new vertex collects.  ``memo`` maps
+    a sub-table on a proper subset to its ``_onto_needs``, for the parents
+    of one ``enumerate_types`` call; the whole table is walked directly.
     """
-    k = parent.k
-    span = family.full_mask.bit_length()
-    needs = [set() for _ in vertex_choices[first:]]
-    for index, h in enumerate(family.forbidden):
-        bits = _pair_bits(h)
-        for image in _images(h, parent.table, parent.arrows, free=True):
-            on_new = tuple(u for u in range(h.n) if image[u] == k)
-            if not on_new:
-                continue
-            fits = class_fits.get((index, on_new))
-            if fits is None:
-                sub = h.induced(on_new)
-                fits = class_fits[index, on_new] = [
-                    _fits(sub, ((vs,),), parent.arrows) for vs in vertex_choices]
-            live = [choice for choice, fit in zip(needs, fits[first:]) if fit]
-            if not live:
-                continue
-            need = 0
-            for w in range(h.n):
-                x = image[w]
-                if x < k:
-                    for u in on_new:
-                        need |= bits[w][u] << span * x
-            for choice in live:
-                choice.add(need)
-    return [_minimal(choice) for choice in needs]
+    k, table = parent.k, parent.table
+    largest = max(fits.h.n for fits in class_fits) - 1
+    found = {}
+    for size in range(min(k, largest) + 1):
+        for subset in itertools.combinations(range(k), size):
+            if size == k:
+                needs = _onto_needs(class_fits, table)
+            else:
+                sub = tuple(tuple(table[x][y] for y in subset) for x in subset)
+                needs = memo.get(sub)
+                if needs is None:
+                    needs = memo[sub] = _onto_needs(class_fits, sub)
+            shifts = [span * x for x in subset]
+            for fields, fit in needs.items():
+                need = sum(map(operator.lshift, fields, shifts))
+                found[need] = found.get(need, 0) | fit
+    kept = _minimal(found)
+    return [[need for need, fit in kept if fit >> i & 1]
+            for i in range(first, len(class_fits[0].choices))]
 
 
-def _minimal(needs):
-    """The needs that contain no other need."""
+def _minimal(found):
+    """The needs of ``found`` (need -> a bitmask of the choices it holds
+    for) that contain no other need of some choice, each with those choices.
+    Taken by size, a need loses the choices kept by a smaller need inside
+    it.  That is enough: a smaller need that holds for a choice either keeps
+    it or contains a still smaller one that does."""
     kept = []
-    for need in sorted(needs, key=int.bit_count):
-        if all(small & ~need for small in kept):
-            kept.append(need)
+    for need in sorted(found, key=int.bit_count):
+        fit = found[need]
+        for small, held in kept:
+            if not small & ~need:
+                fit &= ~held
+        if fit:
+            kept.append((need, fit))
     return kept
 
 
@@ -460,8 +536,10 @@ def enumerate_types(family: PropertyFamily, kmax: int,
     least P's largest, and v's score, which does not depend on labels, is
     at least that of each vertex tied with it, so the extension of P that
     rebuilds T is tried.  A candidate is rejected when its row covers one of
-    the parent's extension needs (see ``_extension_needs``); a type object is
-    built once per canonical key, from the level's sorted keys.  Refuses
+    the parent's extension needs (see ``_extension_needs``, whose walks of
+    proper sub-tables serve every parent of the call), and the rows free of
+    one list of needs are built once per level; a type object is built once
+    per canonical key, from the level's sorted keys.  Refuses
     with :class:`EnumerationGuardError` when the raw candidate count would
     pass ``candidate_ceiling``.
     """
@@ -476,26 +554,34 @@ def enumerate_types(family: PropertyFamily, kmax: int,
     yield from level
 
     examined = len(vertex_choices)
-    class_fits = {}
-    mirror = _MIRROR.__getitem__ if family.is_directed else None
+    arrows = ARROW_MASK if family.is_directed else 0
+    class_fits = [_ClassFits(h, vertex_choices, arrows) for h in family.forbidden]
+    span = edge_choices[-1].bit_length()
+    memo = {}
+    mirror = _MIRROR.__getitem__ if arrows else None
     for k in range(2, kmax + 1):
         examined += len(level) * len(vertex_choices) * len(edge_choices) ** (k - 1)
         if examined > candidate_ceiling:
             raise EnumerationGuardError(examined, candidate_ceiling)
         power = [k ** m for m in range(edge_choices[-1] + 1)]
         seen = set()
+        free = {}  # per set of needs, its free rows on this level, with their mirrors
         for parent in level:
             flat = tuple(itertools.chain.from_iterable(parent.table))
             vsets = parent.vertex_sets
             first = bisect.bisect_left(vertex_choices, vsets[-1])
             scores = _scores(parent.table, power)[bisect.bisect_left(vsets, vsets[-1]):]
-            choice_needs = _extension_needs(parent, family, vertex_choices, class_fits, first)
+            choice_needs = _extension_needs(parent, class_fits, memo, first, span)
             for vs, needs in zip(vertex_choices[first:], choice_needs):
-                rows = [(row, row if mirror is None else tuple(map(mirror, row)))
-                        for row in _free_rows(needs, edge_choices, k - 1)]
+                key = frozenset(needs)
+                rows = free.get(key)
+                if rows is None:
+                    rows = free[key] = [(row, row if mirror is None else tuple(map(mirror, row)))
+                                        for row in _free_rows(needs, edge_choices, k - 1)]
                 if vs == vsets[-1]:
                     rows = _first_ranked(rows, scores, power)
                 seen.update(_child_keys(flat, vsets, vs, rows))
+        del free
         keys = sorted(seen)
         del seen
         # the last level has no children, so its types are built as they are yielded

@@ -126,14 +126,6 @@ def brute_embeds_dir(h, k_type) -> bool:
     with an independent mirror computation for oriented pair sets."""
     from edk.graphs import BIEDGE, BWD, NONEDGE
 
-    def mirror_mask(mask):
-        fixed = mask & ~((1 << FWD) | (1 << BWD))
-        if mask & (1 << FWD):
-            fixed |= 1 << BWD
-        if mask & (1 << BWD):
-            fixed |= 1 << FWD
-        return fixed
-
     if h.n == 0:
         return True
     k = k_type.k
@@ -145,7 +137,7 @@ def brute_embeds_dir(h, k_type) -> bool:
                 continue
             mask = k_type.edge_sets[_tri_index(k, min(x, y), max(x, y))]
             if x > y:
-                mask = mirror_mask(mask)
+                mask = _mirror_mask(mask)
             if not (1 << h.color(u, v)) & mask:
                 ok = False
                 break
@@ -170,6 +162,92 @@ def brute_embeds_dir(h, k_type) -> bool:
         if ok:
             return True
     return False
+
+
+def _mirror_mask(mask):
+    """A directed pair set seen from the other end: single arcs swap."""
+    fixed = mask & ~((1 << FWD) | (1 << BWD))
+    if mask & (1 << FWD):
+        fixed |= 1 << BWD
+    if mask & (1 << BWD):
+        fixed |= 1 << FWD
+    return fixed
+
+
+def _state_bit(family, state):
+    """The mask bit of a pair state: bit c-1 for a color, bit c for a code."""
+    return 1 << (state if family.is_directed else state - 1)
+
+
+def brute_fits_class(h, group, vs, family) -> bool:
+    """Whether the vertices ``group`` of h can share one type vertex with
+    set ``vs``: every pair among them has its state in ``vs``, except that a
+    set holding exactly one arrow takes single arcs either way as long as
+    the group's arcs have no directed cycle."""
+    arrows = bin(vs & ((1 << FWD) | (1 << BWD))).count("1") if family.is_directed else 0
+    for a, b in itertools.combinations(group, 2):
+        state = h.color(a, b)
+        if not (arrows and state in (FWD, BWD)) and not _state_bit(family, state) & vs:
+            return False
+    return arrows != 1 or len(group) < 3 or not brute_has_directed_cycle(h.induced(group))
+
+
+def brute_free_maps(h, t, family):
+    """Every map of h into the vertices of type t plus one new vertex t.k,
+    in ``itertools.product`` order, that keeps each pair between two
+    vertices mapped into t inside t's set: the edge set between distinct
+    images (read from ``edge_sets``, mirrored for a directed pair read from
+    its far end), or the class rule of ``brute_fits_class`` on each
+    class.  Pairs that touch the new vertex are not checked."""
+    k = t.k
+    for image in itertools.product(range(k + 1), repeat=h.n):
+        ok = True
+        for u, v in itertools.combinations(range(h.n), 2):
+            x, y = image[u], image[v]
+            if x == y or k in (x, y):
+                continue
+            mask = t.edge_sets[_tri_index(k, min(x, y), max(x, y))]
+            if x > y and family.is_directed:
+                mask = _mirror_mask(mask)
+            if not _state_bit(family, h.color(u, v)) & mask:
+                ok = False
+                break
+        if ok and all(brute_fits_class(h, [u for u in range(h.n) if image[u] == x],
+                                       t.vertex_sets[x], family) for x in range(k)):
+            yield image
+
+
+def brute_extension_needs(parent, family):
+    """Per vertex choice of the family (its nonempty proper state subsets,
+    ascending), the minimal needs of ``parent``, as a set of tuples with one
+    mask per parent vertex.  Each map of ``brute_free_maps`` of a forbidden
+    graph that puts a nonempty set J on the new vertex, with J fitting one
+    class of the choice, needs at parent vertex x the states of the pairs
+    between x's preimage and J, as seen from x.  A need is minimal when no
+    other need of the choice lies inside it at every vertex."""
+    full = family.full_mask
+    choices = [m for m in range(1, full) if not m & ~full]
+    k = parent.k
+    found = [set() for _ in choices]
+    for h in family.forbidden:
+        for image in brute_free_maps(h, parent, family):
+            group = [u for u in range(h.n) if image[u] == k]
+            if not group:
+                continue
+            need = [0] * k
+            for w in range(h.n):
+                if image[w] < k:
+                    for u in group:
+                        need[image[w]] |= _state_bit(family, h.color(w, u))
+            for i, vs in enumerate(choices):
+                if brute_fits_class(h, group, vs, family):
+                    found[i].add(tuple(need))
+
+    def inside(small, big):
+        return small != big and all(not a & ~b for a, b in zip(small, big))
+
+    return [{need for need in needs if not any(inside(other, need) for other in needs)}
+            for needs in found]
 
 
 def _tri_index(k, i, j):

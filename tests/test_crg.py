@@ -258,21 +258,21 @@ class TestEnumeration:
                 continue
             for drop in range(t.k):
                 rest = [x for x in range(t.k) if x != drop]
-                assert edk.in_admissible_set(edk.sub_type(t, rest), fam)
+                assert edk.in_admissible_set(t.sub_type(rest), fam)
 
 
 class TestSubType:
     def test_identity(self):
         t = RType(3, (1, 2), (7,))
-        assert edk.sub_type(t, [0, 1]) == t
+        assert t.sub_type([0, 1]) == t
 
     def test_single_vertex_restriction(self):
         t = RType(3, (1, 2), (7,))
-        assert edk.sub_type(t, [1]) == RType(3, (2,), ())
+        assert t.sub_type([1]) == RType(3, (2,), ())
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            edk.sub_type(RType(3, (1,), ()), [])
+            RType(3, (1,), ()).sub_type([])
 
 
 @st.composite

@@ -1,8 +1,8 @@
 """The exact bounds pass: integer support enumeration for g and the lower
 bounds on a stationary value that let it skip a support, incremental
-admissibility in the type enumeration and its free rows, the type shapes
-and the simplex of the maximum, each against the reference it replaced in
-tests/oracles.py, plus the certificate check."""
+admissibility in the type enumeration, its extension needs and free rows,
+the type shapes and the simplex of the maximum, each against the reference
+it replaced in tests/oracles.py, plus the certificate check."""
 
 import hashlib
 import itertools
@@ -15,12 +15,15 @@ from hypothesis import strategies as st
 
 import edk
 from edk import CertificateError, ColoredGraph, DiGraph, RType, catalog
-from edk.crg import _choices, _free_rows, canonical_key
+from edk.crg import _ClassFits, _choices, _extension_needs, _free_rows, _images, canonical_key
 from edk.distance import _cannot_beat, _shapes, _stationary
-from edk.graphs import BWD, FWD, PALETTES, pair_count
+from edk.graphs import ARROW_MASK, BWD, FWD, PALETTES, pair_count
 from edk.ratlin import simplex_max_lex, solve_int
 from oracles import (
     brute_enumerate_types,
+    brute_extension_needs,
+    brute_fits_class,
+    brute_free_maps,
     brute_free_rows,
     brute_g_value,
     brute_shapes,
@@ -438,3 +441,69 @@ class TestFreeRowsAgainstProduct:
     @given(free_row_cases())
     def test_random_needs(self, case):
         assert _free_rows(*case) == brute_free_rows(*case)
+
+
+@st.composite
+def parent_sequences(draw):
+    """A family from ``small_families`` and up to six of its types on 1-4
+    vertices, not all admissible, each with a first vertex choice.  Their
+    vertex sets come from a pool of one or two choices and their edge sets
+    from a pool of up to three, so that one sub-table recurs at different
+    vertex positions and under different first choices."""
+    family, _ = draw(small_families())
+    vertex_choices, edge_choices = _choices(family)
+    vertex_pool = draw(st.lists(st.sampled_from(vertex_choices), min_size=1, max_size=2))
+    edge_pool = draw(st.lists(st.sampled_from(edge_choices), min_size=1, max_size=3))
+    parents = []
+    for _ in range(draw(st.integers(1, 6))):
+        k = draw(st.integers(1, 4))
+        vsets = draw(st.lists(st.sampled_from(vertex_pool), min_size=k, max_size=k))
+        esets = draw(st.lists(st.sampled_from(edge_pool), min_size=pair_count(k),
+                              max_size=pair_count(k)))
+        parents.append((edk.crg._make(family, tuple(vsets), tuple(esets)),
+                        draw(st.integers(0, len(vertex_choices) - 1))))
+    return family, parents
+
+
+def _class_fits(family):
+    vertex_choices, _ = _choices(family)
+    arrows = ARROW_MASK if family.is_directed else 0
+    return [_ClassFits(h, vertex_choices, arrows) for h in family.forbidden]
+
+
+class TestExtensionNeedsAgainstEveryMap:
+    """The needs read from memoised sub-tables, one per image set, against
+    every map of each forbidden graph into the parent plus a new vertex."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(parent_sequences())
+    def test_parents_through_one_memo(self, case):
+        family, parents = case
+        class_fits, memo = _class_fits(family), {}
+        span = family.full_mask.bit_length()
+        for parent, first in parents:
+            needs = _extension_needs(parent, class_fits, memo, first, span)
+            unpacked = [[tuple(need >> span * x & family.full_mask for x in range(parent.k))
+                         for need in choice] for choice in needs]
+            assert all(len(choice) == len(set(choice)) for choice in unpacked)
+            assert list(map(set, unpacked)) == brute_extension_needs(parent, family)[first:]
+
+
+class TestImagesPrunes:
+    """With a ``_ClassFits``, ``_images`` walks onto the type plus a new
+    vertex and only while the vertices on the new one fit some choice: the
+    plain walk's maps, filtered by both tests after the fact."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(parent_sequences())
+    def test_against_the_filtered_plain_walk(self, case):
+        family, parents = case
+        vertex_choices, _ = _choices(family)
+        for fits in _class_fits(family):
+            h = fits.h
+            for t, _ in parents:
+                expected = [image for image in brute_free_maps(h, t, family)
+                            if set(image) == set(range(t.k + 1))
+                            and any(brute_fits_class(h, [u for u in range(h.n) if image[u] == t.k],
+                                                     vs, family) for vs in vertex_choices)]
+                assert [tuple(image) for image in _images(h, t.table, t.arrows, fits)] == expected
